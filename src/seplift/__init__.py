@@ -9,7 +9,7 @@ procedure, yielding representation-independence checks for clients of
 two-implementation modules.
 """
 
-from .heap import EMPTY_HEAP, Heap, cells, compose, extends, merge, segregating_sets, subtract
+from .heap import EMPTY_HEAP, Heap, cells, compose, extends, merge, segregating_sets
 from .relations import GenRel, delta, empty, included, meet, member, star, top, union
 from .syntax import AssertEnv, parse, pretty
 from .normalize import ImplicationForm, reduce_implication, to_simple
@@ -34,7 +34,6 @@ __all__ = [
     "cells",
     "compose",
     "merge",
-    "subtract",
     "extends",
     "segregating_sets",
     "GenRel",

@@ -29,11 +29,10 @@ from .scenarios import DEMO_NAMES, demo, parse_scenario
 from .semantics import (
     SearchBudget,
     ValueDomain,
-    env_valid,
     find_counter_env,
     pc_check,
 )
-from .syntax import ParseError, parse_assertion_file, pretty
+from .syntax import ParseError, UnboundVariable, parse_assertion_file, pretty
 
 _EXIT_OK = 0
 _EXIT_NEGATIVE = 1
@@ -136,6 +135,11 @@ def _cmd_reduce(args, out: _Output) -> int:
 def _cmd_graph(args, out: _Output) -> int:
     doc = _first_implication(args.file)
     _, _, family = _reduced_family(doc, args.file)
+    if not 0 <= args.member < len(family):
+        raise ValueError(
+            f"--member {args.member} is out of range; "
+            f"the family has {len(family)} member(s), indexed from 0"
+        )
     dot = to_dot(compute_layout(family[args.member]))
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as fh:
@@ -346,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     out = _Output(args.format)
     try:
         return args.fn(args, out)
-    except (ParseError, ValueError, OSError, KeyError) as exc:
+    except (ParseError, ValueError, OSError, KeyError, UnboundVariable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
 

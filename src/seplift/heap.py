@@ -1,9 +1,9 @@
 """Finite heaps with a partial commutative monoid structure.
 
 A heap is a finite partial map from positive integer locations to integer
-values.  Heaps compose (``·``) when their domains are disjoint, merge (``+``)
-when they agree on shared locations, and subtract (``-``) by domain.  The
-composition operator induces the extension order ``f ⊑ g``.
+values.  Heaps compose (``·``) when their domains are disjoint and merge when
+they agree on shared locations.  Composition induces the extension order
+``f ⊑ g``.
 
 Internally every heap caries two bitmask fingerprints (one bit per distinct
 (location, value) cell seen so far in the process, one per distinct location),
@@ -24,7 +24,6 @@ __all__ = [
     "cells",
     "compose",
     "merge",
-    "subtract",
     "extends",
     "segregating_sets",
     "parse_heap",
@@ -120,24 +119,11 @@ class Heap:
     def __str__(self) -> str:
         return format_heap(self)
 
-    # Operator sugar for the monoid structure.
-    def __mul__(self, other: "Heap") -> "Heap | None":
-        return compose(self, other)
-
-    def __add__(self, other: "Heap") -> "Heap | None":
-        return merge(self, other)
-
-    def __sub__(self, other: "Heap") -> "Heap":
-        return subtract(self, other)
-
-    def __le__(self, other: "Heap") -> bool:
-        return extends(self, other)
-
 
 EMPTY_HEAP = Heap()
 
 
-def heap(*pairs: tuple[int, int], **_ignored) -> Heap:
+def heap(*pairs: tuple[int, int]) -> Heap:
     """Build a heap from (location, value) pairs: ``heap((1, 0), (2, 5))``."""
     return Heap(pairs)
 
@@ -173,14 +159,6 @@ def merge(f: Heap, g: Heap) -> Heap | None:
     if not g._cells:
         return f
     return Heap(dict(f._cells) | dict(g._cells))
-
-
-def subtract(f: Heap, g: Heap) -> Heap:
-    """Restriction of f to locations outside dom(g).  Values of g are ignored."""
-    if not (f._locmask & g._locmask):
-        return f
-    gdom = g.dom()
-    return Heap({loc: val for loc, val in f._cells if loc not in gdom})
 
 
 def extends(f: Heap, g: Heap) -> bool:

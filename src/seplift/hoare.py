@@ -24,12 +24,12 @@ under one operation step.  An error outcome on either side is a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .heap import Heap, compose
 from .lifting import chk
-from .relations import GenRel, member, tuple_compose, tuple_extends
+from .relations import GenRel, tuple_compose, tuple_extends
 from .semantics import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -48,11 +48,9 @@ from .syntax import (
     PointsTo,
     PointsToAny,
     Star,
-    VarRef,
     eval_bool,
     eval_expr,
     free_expr_vars,
-    free_vars,
     pretty,
 )
 
@@ -213,32 +211,6 @@ def command_vars(c: Command) -> frozenset[str]:
             | free_expr_vars(c.cond.right)
             | command_vars(c.then_branch)
             | command_vars(c.else_branch)
-        )
-    raise TypeError(f"not a command: {c!r}")
-
-
-def format_command(c: Command) -> str:
-    if isinstance(c, Skip):
-        return "skip"
-    if isinstance(c, Call):
-        return c.name
-    if isinstance(c, Write):
-        from .syntax import pretty_expr
-
-        return f"[{pretty_expr(c.addr)}] := {pretty_expr(c.value)}"
-    if isinstance(c, LetRead):
-        from .syntax import pretty_expr
-
-        return f"let {c.var}=[{pretty_expr(c.addr)}] in {format_command(c.body)}"
-    if isinstance(c, SeqCmd):
-        return f"{format_command(c.first)}; {format_command(c.second)}"
-    if isinstance(c, IfCmd):
-        from .syntax import pretty_expr
-
-        cond = f"{pretty_expr(c.cond.left)} {c.cond.op} {pretty_expr(c.cond.right)}"
-        return (
-            f"if {cond} {{ {format_command(c.then_branch)} }} "
-            f"else {{ {format_command(c.else_branch)} }}"
         )
     raise TypeError(f"not a command: {c!r}")
 

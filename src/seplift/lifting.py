@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Mapping
 
-from .heap import EMPTY_HEAP, Heap, cells
+from .heap import EMPTY_HEAP, cells
 from .layout import LayoutGraph, compute_layout
 from .normalize import (
     Clause,
@@ -50,7 +50,6 @@ from .syntax import (
     PointsToAny,
     Star,
     TrueLit,
-    pretty,
 )
 
 __all__ = [

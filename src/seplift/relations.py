@@ -35,25 +35,11 @@ __all__ = [
     "tuple_compose",
     "tuple_merge",
     "tuple_extends",
-    "set_minimization",
     "parse_relation",
     "format_relation",
 ]
 
 HeapTuple = tuple[Heap, ...]
-
-# Antichain minimization can be switched off to debug generator bookkeeping;
-# all operations still compute the same closures, just with redundant tuples.
-_minimize_enabled = True
-
-
-def set_minimization(enabled: bool) -> bool:
-    """Toggle antichain minimization; returns the previous setting."""
-    global _minimize_enabled
-    previous = _minimize_enabled
-    _minimize_enabled = enabled
-    return previous
-
 
 def tuple_compose(s: HeapTuple, t: HeapTuple) -> HeapTuple | None:
     out = []
@@ -105,8 +91,7 @@ class GenRel:
         for g in gens:
             if len(g) != arity:
                 raise ValueError(f"generator {g} does not have arity {arity}")
-        if _minimize_enabled:
-            gens = _minimize(gens)
+        gens = _minimize(gens)
         object.__setattr__(self, "_arity", arity)
         object.__setattr__(self, "_generators", gens)
         object.__setattr__(self, "_hash", hash((arity, gens)))
@@ -138,21 +123,6 @@ class GenRel:
 
     def __repr__(self) -> str:
         return f"GenRel({self._arity}, {format_relation(self)})"
-
-    def __contains__(self, t: HeapTuple) -> bool:
-        return member(self, t)
-
-    def __or__(self, other: "GenRel") -> "GenRel":
-        return union(self, other)
-
-    def __and__(self, other: "GenRel") -> "GenRel":
-        return meet(self, other)
-
-    def __mul__(self, other: "GenRel") -> "GenRel":
-        return star(self, other)
-
-    def __le__(self, other: "GenRel") -> bool:
-        return included(self, other)
 
 
 def top(arity: int) -> GenRel:
@@ -247,6 +217,8 @@ def parse_relation(text: str, arity: int | None = None) -> GenRel:
             if not inner.endswith(")"):
                 raise ValueError(f"malformed relation literal {text!r}")
             n = int(inner[:-1])
+            if arity is not None and n != arity:
+                raise ValueError(f"{text!r} has arity {n}, expected {arity}")
             return top(n) if keyword == "TOP" else empty(n)
     if not (stripped.startswith("{") and stripped.endswith("}")):
         raise ValueError(f"relation literal must be braced or TOP/EMPTY: {text!r}")

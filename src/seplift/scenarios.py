@@ -31,18 +31,24 @@ statements; two consecutive assertion lines mark a consequence step.  The
 builder assembles the corresponding derivation; richer derivations (frame,
 existential, conditional) are built programmatically.
 
-The two packaged demos exercise representation independence end to end: a
-two-stage counter whose implementations store the count directly or with a
-stage-dependent sign, and a good/bad client pair where only the proof that
-passes the consequence gate yields indistinguishable runs.
+The scenario files in the checkout's ``scenarios/`` directory are the only
+copy of the packaged demos, which exercise representation independence end
+to end:
+
+- ``counter`` runs ``counter.scn`` at values -1,0,1: a two-stage counter whose
+  implementations store the count directly or with a stage-dependent sign.
+- ``goodbad`` runs ``goodbad_good.scn`` and ``goodbad_bad.scn`` at values
+  0,1,2: a good/bad client pair where only the proof that passes the
+  consequence gate yields indistinguishable runs.
+
+Both use locations 1..3, the domains the files' header comments give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from pathlib import Path
 
-from .heap import Heap
 from .hoare import (
     Call,
     CallAxiom,
@@ -69,21 +75,17 @@ from .hoare import (
     two_validity_test,
 )
 from .relations import GenRel, parse_relation
-from .semantics import SearchBudget, ValueDomain
+from .semantics import SearchBudget, interpret
 from .syntax import (
-    Add,
     AssertEnv,
     Assertion,
     BoolAtom,
-    IntLit,
-    Neg,
     ParseError,
     PointsTo,
     PointsToAny,
-    SubExpr,
-    VarRef,
     _Parser,
     parse,
+    parse_header,
     pretty,
 )
 
@@ -95,8 +97,6 @@ __all__ = [
     "DemoReport",
     "demo",
     "DEMO_NAMES",
-    "counter_scenario",
-    "goodbad_scenario",
 ]
 
 
@@ -321,18 +321,11 @@ def parse_scenario(text: str) -> Scenario:
             raise ValueError(f"content before any section header: {raw!r}")
         sections[current].append(line.strip())
 
-    avars = frozenset(
-        name.strip()
-        for chunk in sections["avars"]
-        for name in chunk.split(",")
-        if name.strip()
-    )
+    avars: frozenset[str] = frozenset()
     eta: dict[str, int] = {}
-    for chunk in sections["env"]:
-        for binding in chunk.split(","):
-            if binding.strip():
-                name, _, value = binding.partition("=")
-                eta[name.strip()] = int(value.strip())
+    for key in ("avars", "env"):
+        for chunk in sections[key]:
+            avars, eta = parse_header(key, chunk, avars, eta)
 
     gamma = make_context(
         [_parse_triple(line, avars) for line in sections["context"]]
@@ -377,139 +370,28 @@ def _parse_impl(lines: list[str]) -> dict[str, Command]:
 # --- packaged demos ---------------------------------------------------------------
 
 
-def _relation_domain(values: tuple[int, ...]) -> tuple[int, ...]:
-    """Close a value set under one step of +1, -1 and negation.
+# name -> (title, values, cases).  A case is (verdict key, scenario file,
+# validity line label, good); a good case is accepted, valid, and its runs
+# agree, a bad one is none of these.  The values are the domains the files'
+# header comments give.
+_DEMOS = {
+    "counter": (
+        "two-stage counter; couplings: equal values in stage one, "
+        "negated values in stage two",
+        (-1, 0, 1),
+        (("client", "counter.scn", "binary validity", True),),
+    ),
+    "goodbad": (
+        "good client uses fin; bad client uses badfin",
+        (0, 1, 2),
+        (
+            ("good", "goodbad_good.scn", "good validity", True),
+            ("bad", "goodbad_bad.scn", "bad validity", False),
+        ),
+    ),
+}
 
-    Couplings are encoded over this larger domain so that a module operation
-    applied to an in-budget input cannot fall off the encoding and produce a
-    spurious violation.
-    """
-    out = set(values)
-    for v in values:
-        out.update((v + 1, v - 1, -v))
-    return tuple(sorted(out))
-
-
-def _equal_value_coupling(values: tuple[int, ...], negate: bool) -> GenRel:
-    return GenRel(
-        2,
-        [
-            (Heap({1: v}), Heap({1: -v if negate else v}))
-            for v in values
-        ],
-    )
-
-
-def counter_scenario(
-    values: tuple[int, ...] = (-2, -1, 0, 1, 2)
-) -> tuple[Scenario, SearchBudget, ValueDomain]:
-    """Two-stage counter: increment-only stage, then decrement-only stage.
-
-    Both implementations keep their state in cell 1; the second one stores
-    the negated count while in the second stage.  The couplings say: equal
-    stored values in the first stage, negated values in the second.
-    """
-    avars = frozenset({"a", "b"})
-    arrow = parse("1 |-> _")
-    a, b = parse("a", avars), parse("b", avars)
-    gamma = make_context(
-        [
-            Triple(arrow, "init", a),
-            Triple(a, "inc", a),
-            Triple(a, "nxt", b),
-            Triple(b, "dec", b),
-            Triple(b, "fin", arrow),
-        ]
-    )
-    one = IntLit(1)
-    y = VarRef("y")
-    impl1 = {
-        "init": Write(one, IntLit(0)),
-        "inc": LetRead("y", one, Write(one, Add(y, IntLit(1)))),
-        "nxt": Skip(),
-        "dec": LetRead("y", one, Write(one, SubExpr(y, IntLit(1)))),
-        "fin": Skip(),
-    }
-    impl2 = {
-        "init": Write(one, IntLit(0)),
-        "inc": LetRead("y", one, Write(one, Add(y, IntLit(1)))),
-        "nxt": LetRead("y", one, Write(one, Neg(y))),
-        "dec": LetRead("y", one, Write(one, Add(y, IntLit(1)))),
-        "fin": LetRead("y", one, Write(one, Neg(y))),
-    }
-    rel_values = _relation_domain(values)
-    coupling = {
-        "a": _equal_value_coupling(rel_values, negate=False),
-        "b": _equal_value_coupling(rel_values, negate=True),
-    }
-    client = parse_command("init; inc; nxt; dec; fin")
-    proof = parse_proof_lines(
-        ["{1|->_}", "init", "{a}", "inc", "{a}", "nxt", "{b}", "dec", "{b}", "fin", "{1|->_}"],
-        avars,
-    )
-    scenario = Scenario(
-        avars, {}, gamma, impl1, impl2, coupling, client, arrow, arrow, proof
-    )
-    budget = SearchBudget(max_loc=3, values=values)
-    dom = ValueDomain(values=rel_values, locations=(1, 2, 3))
-    return scenario, budget, dom
-
-
-def goodbad_scenario(
-    values: tuple[int, ...] = (0, 1, 2)
-) -> tuple[Scenario, Scenario, SearchBudget, ValueDomain]:
-    """A good and a bad client over the same module.
-
-    init leaves the heap alone but abstracts it into two assertion variables;
-    fin accepts a plain cell.  badfin's interface assumes one of the variables
-    owns the cell outright, which the couplings deny: its precondition has an
-    empty binary meaning, so the modules preserve the couplings vacuously,
-    yet the bad client's runs end with different cell values.  Returns the
-    good scenario, the bad scenario, and the budget/domain to test them at.
-    """
-    avars = frozenset({"a", "b"})
-    arrow = parse("1 |-> _")
-    init_post = parse("1|->_ /\\ a*b", avars)
-    badfin_pre = parse("1|->_ * a \\/ 1|->_ * b", avars)
-    gamma = make_context(
-        [
-            Triple(arrow, "init", init_post),
-            Triple(arrow, "fin", arrow),
-            Triple(badfin_pre, "badfin", arrow),
-        ]
-    )
-    one = IntLit(1)
-    impl1 = {"init": Skip(), "fin": Skip(), "badfin": Write(one, IntLit(1))}
-    impl2 = {"init": Skip(), "fin": Skip(), "badfin": Write(one, IntLit(2))}
-    coupling = {
-        "a": GenRel(2, [(Heap({1: v}), Heap()) for v in values]),
-        "b": GenRel(2, [(Heap(), Heap({1: v})) for v in values]),
-    }
-    good_proof = parse_proof_lines(
-        ["{1|->_}", "init", "{1|->_ /\\ a*b}", "{1|->_}", "fin", "{1|->_}"], avars
-    )
-    bad_proof = parse_proof_lines(
-        [
-            "{1|->_}",
-            "init",
-            "{1|->_ /\\ a*b}",
-            "{1|->_ * a \\/ 1|->_ * b}",
-            "badfin",
-            "{1|->_}",
-        ],
-        avars,
-    )
-    good = Scenario(
-        avars, {}, gamma, impl1, impl2, coupling,
-        parse_command("init; fin"), arrow, arrow, good_proof,
-    )
-    bad = Scenario(
-        avars, {}, gamma, impl1, impl2, coupling,
-        parse_command("init; badfin"), arrow, arrow, bad_proof,
-    )
-    budget = SearchBudget(max_loc=3, values=values)
-    dom = ValueDomain(values=values, locations=(1, 2, 3))
-    return good, bad, budget, dom
+DEMO_NAMES = tuple(_DEMOS)
 
 
 @dataclass
@@ -525,64 +407,28 @@ class DemoReport:
         return "\n".join([f"demo {self.name}: {status}", *["  " + l for l in self.lines]])
 
 
-DEMO_NAMES = ("counter", "goodbad")
-
-
 def demo(name: str) -> DemoReport:
-    """Run a packaged representation-independence scenario end to end."""
-    if name == "counter":
-        return _demo_counter()
-    if name == "goodbad":
-        return _demo_goodbad()
-    raise ValueError(f"unknown demo {name!r}; available: {', '.join(DEMO_NAMES)}")
+    """Run a packaged representation-independence scenario end to end.
 
-
-def _demo_counter() -> DemoReport:
-    scenario, budget, dom = counter_scenario()
-    lines = [
-        "two-stage counter; couplings: equal values in stage one, "
-        "negated values in stage two",
-    ]
-    proof = check_proof(scenario.gamma, scenario.derivation(), budget, scenario.eta)
-    lines.append(f"client proof: {proof.describe()}")
-    validity = two_validity_test(
-        scenario.gamma,
-        scenario.modules(),
-        scenario.rho(),
-        scenario.eta,
-        scenario.pre,
-        scenario.client,
-        scenario.post,
-        budget,
-        dom,
-    )
-    lines.append(f"binary validity: {validity.describe()}")
-    mods1, mods2 = scenario.modules()
-    runs_equal = True
-    for v in budget.values:
-        start = Heap({1: v})
-        out1 = exec_command(scenario.client, scenario.eta, mods1, start)
-        out2 = exec_command(scenario.client, scenario.eta, mods2, start)
-        same = out1 is not ERR and out2 is not ERR and out1.get(1) == out2.get(1)
-        runs_equal = runs_equal and same
-        lines.append(
-            f"start [1|->{v}]: implementations end with cell 1 = "
-            f"{out1 if out1 is ERR else out1.get(1)} and "
-            f"{out2 if out2 is ERR else out2.get(1)}"
-        )
-    ok = bool(proof) and bool(validity) and runs_equal
-    return DemoReport(
-        "counter", ok, lines, {"client": proof}, {"client": validity}
-    )
-
-
-def _demo_goodbad() -> DemoReport:
-    good, bad, budget, dom = goodbad_scenario()
-    lines = ["good client uses fin; bad client uses badfin"]
-    verdicts_p: dict[str, ProofVerdict] = {}
-    verdicts_v: dict[str, ValidityVerdict] = {}
-    results = {}
-    for label, scenario in (("good", good), ("bad", bad)):
+    ``counter`` runs ``scenarios/counter.scn`` at values -1,0,1; ``goodbad``
+    runs ``scenarios/goodbad_good.scn`` and ``scenarios/goodbad_bad.scn`` at
+    values 0,1,2.  Both use locations 1..3, as ``seplift --vals=... prove``
+    and ``validity`` do on those files.  Each scenario's client proof is
+    checked, its binary validity tested, and both implementations are run
+    from every unary generator of the precondition.
+    """
+    if name not in _DEMOS:
+        raise ValueError(f"unknown demo {name!r}; available: {', '.join(DEMO_NAMES)}")
+    title, values, cases = _DEMOS[name]
+    scenario_dir = Path(__file__).resolve().parents[2] / "scenarios"
+    budget = SearchBudget(3, values)
+    dom = budget.domain()
+    lines = [title]
+    proofs: dict[str, ProofVerdict] = {}
+    validities: dict[str, ValidityVerdict] = {}
+    ok = True
+    for key, file, validity_label, good in cases:
+        scenario = parse_scenario((scenario_dir / file).read_text(encoding="utf-8"))
         proof = check_proof(scenario.gamma, scenario.derivation(), budget, scenario.eta)
         validity = two_validity_test(
             scenario.gamma,
@@ -595,22 +441,16 @@ def _demo_goodbad() -> DemoReport:
             budget,
             dom,
         )
-        verdicts_p[label] = proof
-        verdicts_v[label] = validity
-        results[label] = (proof, validity)
-        lines.append(f"{label} proof: {proof.describe()}")
-        lines.append(f"{label} validity: {validity.describe()}")
-    mods1, mods2 = bad.modules()
-    start = Heap({1: 0})
-    out1 = exec_command(bad.client, bad.eta, mods1, start)
-    out2 = exec_command(bad.client, bad.eta, mods2, start)
-    lines.append(
-        f"bad client runs from [1|->0]: final heaps {out1} vs {out2}"
-    )
-    good_ok = bool(results["good"][0]) and bool(results["good"][1])
-    bad_rejected = not results["bad"][0] and not results["bad"][1]
-    distinguishes = (
-        out1 is not ERR and out2 is not ERR and out1.get(1) != out2.get(1)
-    )
-    ok = good_ok and bad_rejected and distinguishes
-    return DemoReport("goodbad", ok, lines, verdicts_p, verdicts_v)
+        proofs[key] = proof
+        validities[key] = validity
+        lines.append(f"{key} proof: {proof.describe()}")
+        lines.append(f"{validity_label}: {validity.describe()}")
+        mods1, mods2 = scenario.modules()
+        runs_agree = True
+        for (start,) in interpret(scenario.pre, scenario.eta, None, 1, dom).sorted_generators():
+            out1 = exec_command(scenario.client, scenario.eta, mods1, start)
+            out2 = exec_command(scenario.client, scenario.eta, mods2, start)
+            runs_agree = runs_agree and out1 is not ERR and out1 == out2
+            lines.append(f"{key} runs from {start}: final heaps {out1} vs {out2}")
+        ok = ok and bool(proof) == bool(validity) == runs_agree == good
+    return DemoReport(name, ok, lines, proofs, validities)

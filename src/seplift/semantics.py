@@ -19,12 +19,12 @@ by a variable-free disjunct containing the whole heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Mapping
 
-from .heap import EMPTY_HEAP, Heap
+from .heap import Heap
 from .layout import compute_layout
 from .normalize import ImplicationForm
 from .relations import (

@@ -51,6 +51,7 @@ __all__ = [
     "Forall",
     "Exists",
     "ParseError",
+    "UnboundVariable",
     "parse",
     "parse_expr",
     "pretty",
@@ -64,8 +65,7 @@ __all__ = [
     "AssertionFile",
     "parse_assertion_file",
     "star_all",
-    "and_all",
-    "or_all",
+    "parse_header",
 ]
 
 
@@ -277,24 +277,6 @@ def star_all(parts: list[Assertion]) -> Assertion:
     result = parts[0]
     for p in parts[1:]:
         result = Star(result, p)
-    return result
-
-
-def and_all(parts: list[Assertion]) -> Assertion:
-    if not parts:
-        return TrueLit()
-    result = parts[0]
-    for p in parts[1:]:
-        result = And(result, p)
-    return result
-
-
-def or_all(parts: list[Assertion]) -> Assertion:
-    if not parts:
-        return FalseLit()
-    result = parts[0]
-    for p in parts[1:]:
-        result = Or(result, p)
     return result
 
 
@@ -625,6 +607,30 @@ class AssertEnv:
 # --- assertion files -------------------------------------------------------
 
 
+_HEADER_KEYS = ("avars", "env")
+
+
+def parse_header(
+    key: str, body: str, avars: frozenset[str], eta: Mapping[str, int]
+) -> tuple[frozenset[str], dict[str, int]]:
+    """Fold one header line into ``(avars, eta)`` and return the result.
+
+    ``avars: a, b`` declares assertion variables; ``env: x=3, y=0`` binds
+    normal variables.  Both are comma-separated and may repeat, adding to
+    what earlier lines declared or bound.
+    """
+    items = [item.strip() for item in body.split(",") if item.strip()]
+    if key == "avars":
+        return avars | frozenset(items), dict(eta)
+    if key == "env":
+        bound = dict(eta)
+        for item in items:
+            name, _, value = item.partition("=")
+            bound[name.strip()] = int(value.strip())
+        return avars, bound
+    raise ValueError(f"unknown header {key!r}; expected one of {', '.join(_HEADER_KEYS)}")
+
+
 @dataclass(frozen=True)
 class AssertionFile:
     avars: frozenset[str]
@@ -648,16 +654,10 @@ def parse_assertion_file(text: str) -> AssertionFile:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        key, colon, body = line.partition(":")
         try:
-            if line.startswith("avars:"):
-                names = [n.strip() for n in line[len("avars:") :].split(",")]
-                avars = frozenset(n for n in names if n)
-            elif line.startswith("env:"):
-                for binding in line[len("env:") :].split(","):
-                    if not binding.strip():
-                        continue
-                    name, _, value = binding.partition("=")
-                    eta[name.strip()] = int(value.strip())
+            if colon and key in _HEADER_KEYS:
+                avars, eta = parse_header(key, body, avars, eta)
             elif "|=" in line:
                 lhs_text, _, rhs_text = line.partition("|=")
                 implications.append(

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from itertools import product
+from pathlib import Path
 
 import hypothesis.strategies as st
 
 from seplift.heap import Heap
 from seplift.relations import GenRel
+from seplift.scenarios import Scenario, parse_scenario
 from seplift.syntax import (
     Add,
     AVar,
@@ -29,6 +31,14 @@ from seplift.syntax import (
 )
 
 AVARS = frozenset({"a", "b"})
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def load_scenario(name: str) -> Scenario:
+    """Parse a file from the repository's scenarios/ directory."""
+    return parse_scenario((SCENARIO_DIR / name).read_text(encoding="utf-8"))
+
 
 small_heaps = st.dictionaries(
     st.integers(1, 3), st.integers(0, 1), max_size=2

@@ -1,5 +1,7 @@
 import json
 import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -101,3 +103,58 @@ def test_input_errors_exit_two(capsys, tmp_path):
     garbled.write_text("avars: a\n((( |=\n")
     code, _ = run(capsys, "lift", str(garbled))
     assert code == 2
+
+
+@pytest.mark.parametrize("member", ["1", "-1"])
+def test_graph_member_out_of_range_exits_two(capsys, member):
+    # fan.imp reduces to a one-member family, so only index 0 exists
+    code = main(["graph", str(SCENARIOS / "fan.imp"), "--member", member])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "out of range" in captured.err
+    assert captured.out == ""
+
+
+def test_search_with_unbound_normal_variable_exits_two(capsys, tmp_path):
+    source = tmp_path / "unbound.imp"
+    source.write_text("avars: a\n1|->x * a |= 1|->x * a\n")
+    code = main(["search", str(source)])
+    assert code == 2
+    assert "'x' is unbound" in capsys.readouterr().err
+
+
+def test_validity_with_missing_coupling_exits_two(capsys, tmp_path):
+    text = (SCENARIOS / "counter.scn").read_text()
+    source = tmp_path / "no_b.scn"
+    source.write_text(
+        "\n".join(l for l in text.splitlines() if not l.lstrip().startswith("b:"))
+    )
+    code = main(["--vals=-1,0,1", "validity", str(source)])
+    assert code == 2
+    assert "'b' is unbound" in capsys.readouterr().err
+
+
+def _header_commands():
+    pattern = re.compile(r"#\s*seplift\s+(?P<args>.*?)(?:\s+->\s*exit\s+(?P<code>\d+))?\s*$")
+    for path in sorted(SCENARIOS.glob("*.scn")):
+        for line in path.read_text().splitlines():
+            m = pattern.match(line)
+            if m:
+                yield pytest.param(
+                    shlex.split(m["args"]), int(m["code"] or 0), id=f"{path.name}:{m['args']}"
+                )
+
+
+HEADER_COMMANDS = list(_header_commands())
+
+
+def test_scenario_headers_state_commands():
+    assert len(HEADER_COMMANDS) >= len(list(SCENARIOS.glob("*.scn")))
+
+
+@pytest.mark.parametrize("argv, expected", HEADER_COMMANDS)
+def test_scenario_header_commands(capsys, monkeypatch, argv, expected):
+    monkeypatch.chdir(SCENARIOS.parent)
+    code = main(argv)
+    capsys.readouterr()
+    assert code == expected

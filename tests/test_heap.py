@@ -15,7 +15,6 @@ from seplift.heap import (
     merge,
     parse_heap,
     segregating_sets,
-    subtract,
 )
 
 
@@ -31,13 +30,6 @@ def test_merge_examples():
     assert merge(heap((1, 0)), heap((1, 0))) == heap((1, 0))
     assert merge(heap((1, 0)), heap((1, 1))) is None
     assert merge(heap((1, 0)), heap((2, 3))) == heap((1, 0), (2, 3))
-
-
-def test_subtract_examples():
-    assert subtract(heap((1, 0), (2, 3)), heap((2, 9))) == heap((1, 0))
-    h = heap((1, 0), (2, 3))
-    assert subtract(h, EMPTY_HEAP) == h
-    assert subtract(h, h) == EMPTY_HEAP
 
 
 def test_extends_examples():
@@ -118,14 +110,6 @@ def _subsets(items):
     for r in range(1, len(items) + 1):
         out.extend(combinations(items, r))
     return out
-
-
-@given(small_heaps, small_heaps)
-def test_subtract_properties(f, g):
-    diff = subtract(f, g)
-    assert extends(diff, f)
-    overlap = Heap({loc: val for loc, val in f.cells if loc in g.dom()})
-    assert compose(diff, overlap) == f
 
 
 def _check_segregation(matrix):

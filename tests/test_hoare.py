@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import AVARS, small_heaps
+from conftest import AVARS, load_scenario, small_heaps
 from seplift.heap import EMPTY_HEAP, Heap, cells, compose, heap
 from seplift.hoare import (
     ERR,
@@ -29,7 +29,7 @@ from seplift.hoare import (
     two_validity_test,
 )
 from seplift.relations import GenRel, top
-from seplift.scenarios import counter_scenario, goodbad_scenario, parse_command
+from seplift.scenarios import parse_command
 from seplift.semantics import SearchBudget, ValueDomain
 from seplift.syntax import (
     And,
@@ -62,8 +62,13 @@ def test_exec_if_branches():
     assert exec_command(cmd, {"x": 3}, {}, heap((1, 9))) == heap((1, 2))
 
 
+# The budgets below use the value domains the scenario files' headers give.
+COUNTER_BUDGET = SearchBudget(max_loc=3, values=(-1, 0, 1))
+GOODBAD_BUDGET = SearchBudget(max_loc=3, values=(0, 1, 2))
+
+
 def test_exec_counter_second_implementation_round_trip():
-    scenario, _, _ = counter_scenario()
+    scenario = load_scenario("counter.scn")
     modules = build_modules(scenario.impl2)
     h = heap((1, 0))
     for op in ("init", "inc", "nxt", "dec", "fin"):
@@ -85,7 +90,7 @@ def test_command_vars():
 @settings(max_examples=40)
 @given(small_heaps, small_heaps)
 def test_frame_property_of_packaged_modules(h, frame):
-    scenario, _, _ = counter_scenario()
+    scenario = load_scenario("counter.scn")
     combined = compose(h, frame)
     if combined is None:
         return
@@ -96,21 +101,17 @@ def test_frame_property_of_packaged_modules(h, frame):
                 assert exec_command(cmd, {}, {}, combined) == compose(out, frame)
 
 
-def _counter_proof():
-    scenario, budget, _ = counter_scenario()
-    return scenario, budget
-
-
 def test_check_proof_counter_client_accepted():
-    scenario, budget = _counter_proof()
-    verdict = check_proof(scenario.gamma, scenario.derivation(), budget)
+    scenario = load_scenario("counter.scn")
+    verdict = check_proof(scenario.gamma, scenario.derivation(), COUNTER_BUDGET)
     assert verdict.accepted
 
 
 def test_check_proof_good_and_bad_clients():
-    good, bad, budget, _ = goodbad_scenario()
-    assert check_proof(good.gamma, good.derivation(), budget).accepted
-    verdict = check_proof(bad.gamma, bad.derivation(), budget)
+    good = load_scenario("goodbad_good.scn")
+    bad = load_scenario("goodbad_bad.scn")
+    assert check_proof(good.gamma, good.derivation(), GOODBAD_BUDGET).accepted
+    verdict = check_proof(bad.gamma, bad.derivation(), GOODBAD_BUDGET)
     assert not verdict.accepted
     assert "chk failed" in verdict.reason
     assert "consequence" not in (verdict.node or "") or verdict.node
@@ -205,7 +206,7 @@ def test_two_validity_identity_modules():
 
 
 def test_two_validity_reports_broken_context_triple():
-    scenario, budget, dom = counter_scenario()
+    scenario = load_scenario("counter.scn")
     broken = dict(scenario.impl1)
     broken["inc"] = parse_command("[1] := 7")  # forgets the coupling
     mods = (build_modules(broken), build_modules(scenario.impl2))
@@ -217,8 +218,8 @@ def test_two_validity_reports_broken_context_triple():
         scenario.pre,
         scenario.client,
         scenario.post,
-        budget,
-        dom,
+        COUNTER_BUDGET,
+        COUNTER_BUDGET.domain(),
     )
     assert not verdict.ok
     assert verdict.failed_triple == "inc"

@@ -21,7 +21,6 @@ from seplift.relations import (
     meet,
     member,
     parse_relation,
-    set_minimization,
     star,
     top,
     union,
@@ -104,19 +103,12 @@ def test_minimization_canonicalizes():
     assert redundant == GenRel(1, [(cells(1),)])
 
 
-def test_minimization_flag_preserves_membership():
-    probe_universe = universe_heaps(2, (0,))
-    gens = [(cells(1),), (cells(1, 2),), (cells(2),)]
-    previous = set_minimization(False)
-    try:
-        raw = GenRel(1, gens)
-        assert len(raw.generators) == 3
-    finally:
-        set_minimization(previous)
-    minimized = GenRel(1, gens)
-    assert len(minimized.generators) == 2
-    for h in probe_universe:
-        assert member(raw, (h,)) == member(minimized, (h,))
+def test_parse_relation_keyword_forms_check_arity():
+    assert parse_relation("TOP(2)", arity=2) == top(2)
+    assert parse_relation("EMPTY(1)", arity=1) == empty(1)
+    for literal in ("TOP(1)", "EMPTY(1)", "{ ([1|->0]) }"):
+        with pytest.raises(ValueError):
+            parse_relation(literal, arity=2)
 
 
 @settings(max_examples=40)

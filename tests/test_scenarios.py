@@ -1,7 +1,6 @@
-import pathlib
-
 import pytest
 
+from conftest import SCENARIO_DIR, load_scenario
 from seplift.heap import heap
 from seplift.hoare import (
     Call,
@@ -22,15 +21,11 @@ from seplift.scenarios import (
     DEMO_NAMES,
     build_annotated_proof,
     demo,
-    counter_scenario,
-    goodbad_scenario,
     parse_command,
     parse_proof_lines,
     parse_scenario,
 )
 from seplift.syntax import ParseError, parse
-
-SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_parse_command_shapes():
@@ -47,7 +42,7 @@ def test_parse_command_shapes():
 
 
 def test_annotated_proof_straight_line():
-    scenario, _, _ = counter_scenario()
+    scenario = load_scenario("counter.scn")
     derivation = scenario.derivation()
     pre, _, post = conclusion(derivation)
     assert pre == parse("1|->_")
@@ -55,7 +50,7 @@ def test_annotated_proof_straight_line():
 
 
 def test_annotated_proof_consequence_wrapping():
-    good, _, _, _ = goodbad_scenario()
+    good = load_scenario("goodbad_good.scn")
     derivation = good.derivation()
     # the reassertion between init and fin lands as a consequence node
     assert isinstance(derivation, SeqRule)
@@ -63,7 +58,7 @@ def test_annotated_proof_consequence_wrapping():
 
 
 def test_annotated_proof_errors():
-    scenario, _, _ = counter_scenario()
+    scenario = load_scenario("counter.scn")
     with pytest.raises(ValueError):
         build_annotated_proof(
             scenario.gamma,
@@ -112,6 +107,9 @@ def test_demo_counter_report():
     assert report.ok
     assert report.proof_verdicts["client"].accepted
     assert report.validity_verdicts["client"].ok
+    # counter.scn at the values its header gives, -1,0,1
+    assert report.validity_verdicts["client"].pairs_checked == 4608
+    assert "client runs from [1|->-1]" in report.text()
 
 
 def test_demo_goodbad_report():

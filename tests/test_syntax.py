@@ -26,6 +26,7 @@ from seplift.syntax import (
     parse,
     parse_assertion_file,
     parse_expr,
+    parse_header,
     pretty,
 )
 
@@ -133,3 +134,23 @@ def test_assertion_file_reports_line():
     with pytest.raises(ParseError) as exc:
         parse_assertion_file("avars: a\n\n((a\n")
     assert "line 3" in str(exc.value)
+
+
+def test_parse_header_folds_lines():
+    avars, eta = parse_header("avars", " a, b,", frozenset(), {})
+    avars, eta = parse_header("avars", "c", avars, eta)
+    avars, eta = parse_header("env", "x=3, y = -1", avars, eta)
+    avars, eta = parse_header("env", "x=4", avars, eta)
+    assert avars == {"a", "b", "c"}
+    assert eta == {"x": 4, "y": -1}
+    with pytest.raises(ValueError):
+        parse_header("vals", "0", avars, eta)
+
+
+def test_assertion_file_and_scenario_share_headers():
+    from seplift.scenarios import parse_scenario
+
+    header = "avars: a, b\nenv: x=1\n"
+    doc = parse_assertion_file(header + "1|->x * a |= 1|->x * a\n")
+    scenario = parse_scenario(header + "client: skip\npre: true\npost: true\n")
+    assert (doc.avars, dict(doc.eta)) == (scenario.avars, scenario.eta)
