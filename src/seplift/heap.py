@@ -5,7 +5,7 @@ values.  Heaps compose (``·``) when their domains are disjoint and merge when
 they agree on shared locations.  Composition induces the extension order
 ``f ⊑ g``.
 
-Internally every heap caries two bitmask fingerprints (one bit per distinct
+Internally every heap carries two bitmask fingerprints (one bit per distinct
 (location, value) cell seen so far in the process, one per distinct location),
 which turn compose/merge/extension checks into integer operations.  The bit
 registry is append-only, so fingerprints computed earlier stay valid.
@@ -23,6 +23,7 @@ __all__ = [
     "heap",
     "cells",
     "compose",
+    "disjoint",
     "merge",
     "extends",
     "segregating_sets",
@@ -133,9 +134,14 @@ def cells(*locs: int) -> Heap:
     return Heap({loc: 0 for loc in locs})
 
 
+def disjoint(f: Heap, g: Heap) -> bool:
+    """Whether the domains of f and g are disjoint, i.e. f·g is defined."""
+    return not f._locmask & g._locmask
+
+
 def compose(f: Heap, g: Heap) -> Heap | None:
     """Disjoint union of two heaps; None when the domains overlap."""
-    if f._locmask & g._locmask:
+    if not disjoint(f, g):
         return None
     if not f._cells:
         return g

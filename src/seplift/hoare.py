@@ -10,7 +10,9 @@ heap-write axioms, frame, existential, sequencing, conditional) plus a rule
 of consequence that is gated twice: the implication must pass ``chk`` (so it
 lifts to the relational reading) and a bounded environment search must find
 no unary counterexample.  Accordingly ``check_proof`` answers Accepted
-relative to the search bound, never unconditionally.
+relative to the search bound, never unconditionally.  Within one proof a
+repeated implication is gated once: the consequence steps that annotated
+proofs add for every command repeat ``φ |= φ`` many times.
 
 ``two_validity_test`` checks the binary reading of triples: one client, two
 module implementations, assertion variables interpreted by coupling
@@ -20,6 +22,8 @@ residue pair, so nothing is lost at a given heap bound.  Inputs whose cell
 values leave the budget are skipped; outputs are judged against the full
 interpretation domain, so couplings should be encoded over a domain closed
 under one operation step.  An error outcome on either side is a violation.
+Implementations are treated as deterministic heap transformers, so within
+one triple check each implementation runs once per distinct input heap.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .heap import Heap, compose
+from .heap import Heap, compose, disjoint, extends
 from .lifting import chk
-from .relations import GenRel, tuple_compose, tuple_extends
+from .relations import GenRel
 from .semantics import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -352,17 +356,19 @@ def check_proof(
 
     Structural rules are checked syntactically.  Consequence premises are
     checked by chk plus a bounded unary environment search, so acceptance is
-    always relative to that bound.  Rejection pinpoints the first failing
-    node in depth-first order.
+    always relative to that bound.  An implication that recurs in the proof
+    is gated once, at its first occurrence.  Rejection pinpoints the first
+    failing node in depth-first order.
     """
     try:
-        _check(gamma, d, budget, eta, "root")
+        _check(gamma, d, budget, eta, "root", set())
     except _Reject as r:
         return ProofVerdict(False, r.node, r.reason)
     return ProofVerdict(True)
 
 
-def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
+def _check(gamma, d, budget, eta, path, gated) -> tuple[Assertion, Command, Assertion]:
+    """Check d; ``gated`` holds the (lhs, rhs) implications already passed."""
     if isinstance(d, CallAxiom):
         if not any(
             t.name == d.name and t.pre == d.pre and t.post == d.post for t in gamma
@@ -372,16 +378,16 @@ def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
     if isinstance(d, (WriteAxiom, SkipAxiom)):
         return conclusion(d)
     if isinstance(d, FrameRule):
-        _check(gamma, d.body, budget, eta, path + ".frame")
+        _check(gamma, d.body, budget, eta, path + ".frame", gated)
         return conclusion(d)
     if isinstance(d, ExistsRule):
-        _, cmd, _ = _check(gamma, d.body, budget, eta, path + ".exists")
+        _, cmd, _ = _check(gamma, d.body, budget, eta, path + ".exists", gated)
         if d.var in command_vars(cmd):
             raise _Reject(path, f"{d.var} occurs free in the command")
         return conclusion(d)
     if isinstance(d, SeqRule):
-        _, _, post1 = _check(gamma, d.first, budget, eta, path + ".seq1")
-        pre2, _, _ = _check(gamma, d.second, budget, eta, path + ".seq2")
+        _, _, post1 = _check(gamma, d.first, budget, eta, path + ".seq1", gated)
+        pre2, _, _ = _check(gamma, d.second, budget, eta, path + ".seq2", gated)
         if post1 != pre2:
             raise _Reject(
                 path,
@@ -389,8 +395,12 @@ def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
             )
         return conclusion(d)
     if isinstance(d, IfRule):
-        pre_t, cmd_t, post_t = _check(gamma, d.then_branch, budget, eta, path + ".then")
-        pre_e, cmd_e, post_e = _check(gamma, d.else_branch, budget, eta, path + ".else")
+        pre_t, cmd_t, post_t = _check(
+            gamma, d.then_branch, budget, eta, path + ".then", gated
+        )
+        pre_e, cmd_e, post_e = _check(
+            gamma, d.else_branch, budget, eta, path + ".else", gated
+        )
         if post_t != post_e:
             raise _Reject(path, "branch postconditions differ")
         if not (
@@ -403,14 +413,16 @@ def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
             raise _Reject(path, "branch preconditions do not split on the guard")
         return conclusion(d)
     if isinstance(d, Consequence):
-        pre_in, _, post_in = _check(gamma, d.body, budget, eta, path + ".body")
-        _check_implication(d.pre, pre_in, budget, eta, path + ".pre")
-        _check_implication(post_in, d.post, budget, eta, path + ".post")
+        pre_in, _, post_in = _check(gamma, d.body, budget, eta, path + ".body", gated)
+        _check_implication(d.pre, pre_in, budget, eta, path + ".pre", gated)
+        _check_implication(post_in, d.post, budget, eta, path + ".post", gated)
         return conclusion(d)
     raise _Reject(path, f"unknown derivation node {type(d).__name__}")
 
 
-def _check_implication(lhs, rhs, budget, eta, path):
+def _check_implication(lhs, rhs, budget, eta, path, gated):
+    if (lhs, rhs) in gated:
+        return
     report = chk(lhs, rhs)
     if not report:
         raise _Reject(
@@ -423,6 +435,7 @@ def _check_implication(lhs, rhs, budget, eta, path):
             path,
             f"bounded unary search refuted {pretty(lhs)} |= {pretty(rhs)}",
         )
+    gated.add((lhs, rhs))
 
 
 # --- 2-validity ----------------------------------------------------------------
@@ -483,7 +496,9 @@ def two_validity_test(
     couplings), then the client triple.  Inputs are the generator pairs of
     the precondition whose cells stay within the budget, extended with every
     pair of principal frames within the budget; outputs must land in the
-    postcondition starred with the same frame.
+    postcondition starred with the same frame.  The implementations must be
+    deterministic heap transformers: each runs once per distinct input heap
+    of a triple check, and the output is reused for every pair sharing it.
     """
     if rho.arity != 2:
         raise ValueError("two_validity_test needs a binary environment")
@@ -523,19 +538,25 @@ def _check_binary_triple(
     pre_rel = interpret(pre, eta, rho, 2, dom)
     post_rel = interpret(post, eta, rho, 2, dom)
     frames = bounded_heaps(budget.max_loc, budget.values)
+    outs1: dict[Heap, Heap | _ErrType] = {}
+    outs2: dict[Heap, Heap | _ErrType] = {}
     checked = 0
     for g1, g2 in pre_rel.sorted_generators():
         if not (_within_budget(g1, budget) and _within_budget(g2, budget)):
             continue
-        frames1 = [f for f in frames if compose(g1, f) is not None]
-        frames2 = [f for f in frames if compose(g2, f) is not None]
-        for f0 in frames1:
+        inputs2 = [(g0, compose(g2, g0)) for g0 in frames if disjoint(g2, g0)]
+        for f0 in frames:
+            if not disjoint(g1, f0):
+                continue
             f = compose(g1, f0)
-            for g0 in frames2:
-                g = compose(g2, g0)
+            out1 = outs1.get(f)
+            if out1 is None:
+                out1 = outs1[f] = run1(f)
+            for g0, g in inputs2:
                 checked += 1
-                out1 = run1(f)
-                out2 = run2(g)
+                out2 = outs2.get(g)
+                if out2 is None:
+                    out2 = outs2[g] = run2(g)
                 if out1 is ERR or out2 is ERR:
                     return (
                         Violation(
@@ -556,8 +577,22 @@ def _check_binary_triple(
 
 
 def _in_post_with_frame(post_rel: GenRel, frame, outputs) -> bool:
-    for gen in post_rel.generators:
-        combined = tuple_compose(gen, frame)
-        if combined is not None and tuple_extends(combined, outputs):
+    """Whether outputs extend gen·frame for some post generator gen.
+
+    gen·frame is defined and extended by the outputs exactly when the frame
+    is extended by them and gen is disjoint from the frame and extended by
+    them, so no composed heap is built.
+    """
+    f0, g0 = frame
+    out1, out2 = outputs
+    if not (extends(f0, out1) and extends(g0, out2)):
+        return False
+    for gen1, gen2 in post_rel.generators:
+        if (
+            disjoint(gen1, f0)
+            and disjoint(gen2, g0)
+            and extends(gen1, out1)
+            and extends(gen2, out2)
+        ):
             return True
     return False

@@ -336,6 +336,7 @@ def parse_scenario(text: str) -> Scenario:
     for line in sections["coupling"]:
         name, _, literal = line.partition(":")
         coupling[name.strip()] = parse_relation(literal.strip(), arity=2)
+    _check_coupling(coupling, avars)
     client = parse_command(" ".join(sections["client"]))
     pre = parse(" ".join(sections["pre"]), avars)
     post = parse(" ".join(sections["post"]), avars)
@@ -343,6 +344,23 @@ def parse_scenario(text: str) -> Scenario:
     return Scenario(
         avars, eta, gamma, impl1, impl2, coupling, client, pre, post, proof
     )
+
+
+def _check_coupling(coupling: dict[str, GenRel], avars: frozenset[str]) -> None:
+    """A coupling section, when given, relates exactly the declared avars."""
+    if not coupling:
+        return
+    undeclared = sorted(coupling.keys() - avars)
+    if undeclared:
+        raise ValueError(
+            f"coupling section binds {undeclared[0]!r}, which avars: does not declare"
+        )
+    unbound = sorted(avars - coupling.keys())
+    if unbound:
+        raise ValueError(
+            f"coupling section: assertion variable {unbound[0]!r} is unbound, "
+            "though avars: declares it"
+        )
 
 
 def _parse_triple(line: str, avars: frozenset[str]) -> Triple:

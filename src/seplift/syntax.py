@@ -625,8 +625,10 @@ def parse_header(
     if key == "env":
         bound = dict(eta)
         for item in items:
-            name, _, value = item.partition("=")
-            bound[name.strip()] = int(value.strip())
+            name, eq, value = (part.strip() for part in item.partition("="))
+            if not (name and eq and re.fullmatch(r"[+-]?\d+", value)):
+                raise ValueError(f"env binding {item!r} needs the form name=int")
+            bound[name] = int(value)
         return avars, bound
     raise ValueError(f"unknown header {key!r}; expected one of {', '.join(_HEADER_KEYS)}")
 
@@ -655,10 +657,14 @@ def parse_assertion_file(text: str) -> AssertionFile:
         if not line:
             continue
         key, colon, body = line.partition(":")
-        try:
-            if colon and key in _HEADER_KEYS:
+        if colon and key in _HEADER_KEYS:
+            try:
                 avars, eta = parse_header(key, body, avars, eta)
-            elif "|=" in line:
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            continue
+        try:
+            if "|=" in line:
                 lhs_text, _, rhs_text = line.partition("|=")
                 implications.append(
                     (parse(lhs_text, avars), parse(rhs_text, avars))

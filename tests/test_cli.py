@@ -124,14 +124,31 @@ def test_search_with_unbound_normal_variable_exits_two(capsys, tmp_path):
 
 
 def test_validity_with_missing_coupling_exits_two(capsys, tmp_path):
+    # With no coupling: section the scenario parses (prove needs none), so
+    # validity itself raises UnboundVariable for the first assertion variable.
     text = (SCENARIOS / "counter.scn").read_text()
-    source = tmp_path / "no_b.scn"
+    source = tmp_path / "no_coupling.scn"
     source.write_text(
-        "\n".join(l for l in text.splitlines() if not l.lstrip().startswith("b:"))
+        "\n".join(
+            l
+            for l in text.splitlines()
+            if not l.lstrip().startswith(("coupling:", "a:", "b:"))
+        )
     )
     code = main(["--vals=-1,0,1", "validity", str(source)])
     assert code == 2
-    assert "'b' is unbound" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "assertion variable 'a' is unbound" in err
+    assert "coupling section" not in err
+
+
+def test_prove_with_undeclared_coupling_exits_two(capsys, tmp_path):
+    text = (SCENARIOS / "goodbad_good.scn").read_text()
+    source = tmp_path / "c_for_b.scn"
+    source.write_text(text.replace("  b: {", "  c: {"))
+    code = main(["--vals", "0,1,2", "prove", str(source)])
+    assert code == 2
+    assert "coupling section binds 'c'" in capsys.readouterr().err
 
 
 def _header_commands():

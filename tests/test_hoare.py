@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import AVARS, load_scenario, small_heaps
+from seplift import hoare
 from seplift.heap import EMPTY_HEAP, Heap, cells, compose, heap
 from seplift.hoare import (
     ERR,
@@ -40,6 +41,7 @@ from seplift.syntax import (
     PointsTo,
     PointsToAny,
     Star,
+    UnboundVariable,
     VarRef,
     parse,
 )
@@ -241,3 +243,64 @@ def test_two_validity_err_is_a_violation():
     )
     assert not verdict.ok
     assert verdict.violation.reason == "execution faulted"
+
+
+def _implications(d):
+    """The (lhs, rhs) pairs an annotated proof's consequence steps gate."""
+    if isinstance(d, Consequence):
+        pre_in, _, post_in = conclusion(d.body)
+        return [*_implications(d.body), (d.pre, pre_in), (post_in, d.post)]
+    if isinstance(d, SeqRule):
+        return _implications(d.first) + _implications(d.second)
+    return []
+
+
+def _counting_searches(monkeypatch):
+    real = hoare.find_counter_env
+    searched = []
+
+    def counting(lhs, rhs, *rest):
+        searched.append((lhs, rhs))
+        return real(lhs, rhs, *rest)
+
+    monkeypatch.setattr(hoare, "find_counter_env", counting)
+    return searched
+
+
+def test_check_proof_searches_each_implication_once(monkeypatch):
+    scenario = load_scenario("counter.scn")
+    derivation = scenario.derivation()
+    gated = _implications(derivation)
+    assert len(gated) > len(set(gated))  # the proof repeats implications
+    searched = _counting_searches(monkeypatch)
+    assert check_proof(scenario.gamma, derivation, COUNTER_BUDGET).accepted
+    assert len(searched) == len(set(searched))
+    assert set(searched) == set(gated)
+
+
+def test_check_proof_rejection_unchanged_by_gating_once(monkeypatch):
+    searched = _counting_searches(monkeypatch)
+    bad = load_scenario("goodbad_bad.scn")
+    verdict = check_proof(bad.gamma, bad.derivation(), GOODBAD_BUDGET)
+    assert (verdict.accepted, verdict.node) == (False, "root.seq2.pre")
+    assert verdict.reason == (
+        "chk failed for 1 |-> _ /\\ a * b |= 1 |-> _ * a \\/ 1 |-> _ * b: "
+        "a family member fails the criteria"
+    )
+    assert len(searched) == len(set(searched))
+
+
+def test_check_proof_known_defect_unchanged():
+    # b*b /\ a*a |= a*b is unary invalid, but the default search budget
+    # cannot see it, so the consequence is still accepted.
+    avars = frozenset({"a", "b"})
+    post = parse("a*b", avars)
+    d = Consequence(parse("b*b /\\ a*a", avars), SkipAxiom(post), post)
+    assert check_proof((), d).describe() == "Accepted (relative to the search bound)"
+
+
+def test_check_proof_reflexive_gate_still_evaluates():
+    # No lhs == rhs shortcut: an unbound variable is still reported.
+    a = parse("x|->_")
+    with pytest.raises(UnboundVariable):
+        check_proof((), Consequence(a, SkipAxiom(a), a))

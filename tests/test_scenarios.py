@@ -108,8 +108,14 @@ def test_demo_counter_report():
     assert report.proof_verdicts["client"].accepted
     assert report.validity_verdicts["client"].ok
     # counter.scn at the values its header gives, -1,0,1
-    assert report.validity_verdicts["client"].pairs_checked == 4608
-    assert "client runs from [1|->-1]" in report.text()
+    assert report.text() == """\
+demo counter: OK
+  two-stage counter; couplings: equal values in stage one, negated values in stage two
+  client proof: Accepted (relative to the search bound)
+  binary validity: NoViolation (bounded; 4608 input/frame pairs)
+  client runs from [1|->-1]: final heaps [1|->0] vs [1|->0]
+  client runs from [1|->0]: final heaps [1|->0] vs [1|->0]
+  client runs from [1|->1]: final heaps [1|->0] vs [1|->0]"""
 
 
 def test_demo_goodbad_report():
@@ -122,6 +128,22 @@ def test_demo_goodbad_report():
     violation = report.validity_verdicts["bad"].violation
     assert violation.outputs[0] == heap((1, 1))
     assert violation.outputs[1] == heap((1, 2))
+    assert report.text() == """\
+demo goodbad: OK
+  good client uses fin; bad client uses badfin
+  good proof: Accepted (relative to the search bound)
+  good validity: NoViolation (bounded; 2304 input/frame pairs)
+  good runs from [1|->0]: final heaps [1|->0] vs [1|->0]
+  good runs from [1|->1]: final heaps [1|->1] vs [1|->1]
+  good runs from [1|->2]: final heaps [1|->2] vs [1|->2]
+  bad proof: Rejected at root.seq2.pre: chk failed for 1 |-> _ /\\ a * b |= \
+1 |-> _ * a \\/ 1 |-> _ * b: a family member fails the criteria
+  bad validity: client violation: client: inputs ([1|->0], [1|->0]) with \
+frame ([], []) produced ([1|->1], [1|->2]): outputs leave the postcondition \
+with this frame
+  bad runs from [1|->0]: final heaps [1|->1] vs [1|->2]
+  bad runs from [1|->1]: final heaps [1|->1] vs [1|->2]
+  bad runs from [1|->2]: final heaps [1|->1] vs [1|->2]"""
 
 
 def test_demo_unknown_name():
@@ -129,3 +151,27 @@ def test_demo_unknown_name():
         demo("nothere")
     for name in DEMO_NAMES:
         assert name in str(exc.value)
+
+
+def _goodbad_with_coupling_line(old: str, new: str) -> str:
+    text = (SCENARIO_DIR / "goodbad_good.scn").read_text()
+    assert old in text
+    return text.replace(old, new)
+
+
+def test_coupling_must_not_bind_undeclared_variable():
+    text = _goodbad_with_coupling_line("  b: {", "  c: {")
+    with pytest.raises(ValueError, match="coupling section binds 'c', which avars: does not declare"):
+        parse_scenario(text)
+
+
+def test_coupling_must_bind_every_declared_variable():
+    text = _goodbad_with_coupling_line("  b: { ([],[1:0]), ([],[1:1]), ([],[1:2]) }\n", "")
+    with pytest.raises(ValueError, match="coupling section: assertion variable 'b' is unbound"):
+        parse_scenario(text)
+
+
+def test_scenario_without_coupling_section_still_parses():
+    # A proof can be checked without couplings; only validity needs them.
+    scenario = parse_scenario("avars: a\nclient: skip\npre: a\npost: a\n")
+    assert scenario.coupling == {}

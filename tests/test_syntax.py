@@ -154,3 +154,24 @@ def test_assertion_file_and_scenario_share_headers():
     doc = parse_assertion_file(header + "1|->x * a |= 1|->x * a\n")
     scenario = parse_scenario(header + "client: skip\npre: true\npost: true\n")
     assert (doc.avars, dict(doc.eta)) == (scenario.avars, scenario.eta)
+
+
+@pytest.mark.parametrize("binding", ["x", "x=", "=3", "x=three", "x=1.5"])
+def test_env_binding_errors_name_the_binding(binding):
+    message = f"env binding {binding!r} needs the form name=int"
+    with pytest.raises(ValueError) as exc:
+        parse_header("env", f"y=0, {binding}", frozenset(), {})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        parse_assertion_file(f"avars: a\nenv: {binding}\na |= a\n")
+    assert str(exc.value) == f"line 2: {message}"
+    from seplift.scenarios import parse_scenario
+
+    with pytest.raises(ValueError) as exc:
+        parse_scenario(f"env: {binding}\nclient: skip\npre: true\npost: true\n")
+    assert str(exc.value) == message
+
+
+def test_env_binding_accepts_signed_integers():
+    _, eta = parse_header("env", "x = -2, y=+3", frozenset(), {})
+    assert eta == {"x": -2, "y": 3}

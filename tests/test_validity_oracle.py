@@ -1,0 +1,252 @@
+"""2-validity against a naive nested-loop reference, and run counting.
+
+``naive_check_binary_triple`` is the straightforward reading of the binary
+triple check: for every generator pair and every pair of frames disjoint
+from it, build both inputs, run both implementations, and look for a post
+generator whose composition with the frame the outputs extend.  It builds
+every heap it tests and runs the implementations once per pair.
+"""
+
+import pytest
+
+from conftest import load_scenario
+from seplift import hoare
+from seplift.heap import EMPTY_HEAP, Heap, compose, heap
+from seplift.hoare import (
+    ERR,
+    Call,
+    Triple,
+    Violation,
+    build_modules,
+    make_context,
+    two_validity_test,
+)
+from seplift.relations import GenRel, tuple_compose, tuple_extends
+from seplift.scenarios import parse_command, parse_scenario
+from seplift.semantics import SearchBudget, bounded_heaps, interpret
+from seplift.syntax import AssertEnv, parse
+
+
+def naive_in_post_with_frame(post_rel, frame, outputs):
+    for gen in post_rel.generators:
+        combined = tuple_compose(gen, frame)
+        if combined is not None and tuple_extends(combined, outputs):
+            return True
+    return False
+
+
+def naive_check_binary_triple(location, pre, run1, run2, post, rho, eta, budget, dom):
+    pre_rel = interpret(pre, eta, rho, 2, dom)
+    post_rel = interpret(post, eta, rho, 2, dom)
+    frames = bounded_heaps(budget.max_loc, budget.values)
+    checked = 0
+    for g1, g2 in pre_rel.sorted_generators():
+        if not (
+            hoare._within_budget(g1, budget) and hoare._within_budget(g2, budget)
+        ):
+            continue
+        frames1 = [f for f in frames if compose(g1, f) is not None]
+        frames2 = [f for f in frames if compose(g2, f) is not None]
+        for f0 in frames1:
+            f = compose(g1, f0)
+            for g0 in frames2:
+                g = compose(g2, g0)
+                checked += 1
+                out1 = run1(f)
+                out2 = run2(g)
+                if out1 is ERR or out2 is ERR:
+                    violation = Violation(
+                        location, (f, g), (f0, g0), (out1, out2), "execution faulted"
+                    )
+                    return violation, checked
+                if not naive_in_post_with_frame(post_rel, (f0, g0), (out1, out2)):
+                    violation = Violation(
+                        location,
+                        (f, g),
+                        (f0, g0),
+                        (out1, out2),
+                        "outputs leave the postcondition with this frame",
+                    )
+                    return violation, checked
+    return None, checked
+
+
+# Generator pairs share left heaps, and 1|->0 * 2|->0 is reached from both
+# the a-generators and the 2|->_ generators, so input heaps recur across
+# generators as well as across frames.
+MANY_TO_MANY = """\
+avars: a
+context:
+  {a \\/ 2|->_} op {a \\/ 2|->_}
+impl1:
+  op: skip
+impl2:
+  op: if 0 = 0 { skip } else { [1] := 0 }
+coupling:
+  a: { ([1:0],[1:0]), ([1:0],[1:1]), ([1:1],[1:0]) }
+client: op; op
+pre: a \\/ 2|->_
+post: a \\/ 2|->_
+"""
+
+
+def _load(file):
+    return parse_scenario(MANY_TO_MANY) if file == "MANY_TO_MANY" else load_scenario(file)
+
+
+def _validity(scenario, values, modules=None):
+    budget = SearchBudget(3, values)
+    return two_validity_test(
+        scenario.gamma,
+        modules or scenario.modules(),
+        scenario.rho(),
+        scenario.eta,
+        scenario.pre,
+        scenario.client,
+        scenario.post,
+        budget,
+        budget.domain(),
+    )
+
+
+def _broken_impl2(scenario, op, body):
+    impl2 = {**scenario.impl2, op: parse_command(body)}
+    return build_modules(scenario.impl1, scenario.eta), build_modules(impl2, scenario.eta)
+
+
+# (scenario file, values, broken impl2 operation and body or None)
+CASES = [
+    ("counter.scn", (-1, 0, 1), None),
+    ("counter.scn", (0, 1), None),
+    ("counter.scn", (-2, -1, 0, 1, 2), None),
+    ("counter.scn", (-1, 0, 1), ("nxt", "skip")),
+    ("counter.scn", (-1, 0, 1), ("dec", "[2] := 0")),
+    ("goodbad_good.scn", (0, 1, 2), None),
+    ("goodbad_good.scn", (0, 1), None),
+    ("goodbad_good.scn", (-1, 0, 1, 2), None),
+    ("goodbad_good.scn", (0, 1, 2), ("fin", "[1] := 0")),
+    ("goodbad_bad.scn", (0, 1, 2), None),
+    ("goodbad_bad.scn", (0, 1), None),
+    ("goodbad_bad.scn", (0, 1, 2), ("badfin", "[1] := 1")),
+    ("MANY_TO_MANY", (0, 1), None),
+    ("MANY_TO_MANY", (0, 1, 2), None),
+    ("MANY_TO_MANY", (0, 1), ("op", "[1] := 1")),
+]
+
+
+@pytest.mark.parametrize("file, values, broken", CASES)
+def test_matches_naive_reference(monkeypatch, file, values, broken):
+    scenario = _load(file)
+    modules = _broken_impl2(scenario, *broken) if broken else None
+    fast = _validity(scenario, values, modules)
+    monkeypatch.setattr(hoare, "_check_binary_triple", naive_check_binary_triple)
+    naive = _validity(scenario, values, modules)
+    assert fast == naive
+    assert fast.describe() == naive.describe()
+
+
+def test_reference_cases_cover_every_outcome(monkeypatch):
+    """The cases include a pass, a context-triple failure, a fault and a client failure."""
+    monkeypatch.setattr(hoare, "_check_binary_triple", naive_check_binary_triple)
+    outcomes = set()
+    for file, values, broken in CASES:
+        scenario = _load(file)
+        modules = _broken_impl2(scenario, *broken) if broken else None
+        verdict = _validity(scenario, values, modules)
+        if verdict.ok:
+            outcomes.add("ok")
+        else:
+            outcomes.add("triple" if verdict.failed_triple else "client")
+            outcomes.add(verdict.violation.reason)
+    assert outcomes == {
+        "ok",
+        "triple",
+        "client",
+        "execution faulted",
+        "outputs leave the postcondition with this frame",
+    }
+
+
+@pytest.mark.parametrize(
+    "file, values",
+    [("counter.scn", (-1, 0, 1)), ("goodbad_good.scn", (0, 1, 2)), ("MANY_TO_MANY", (0, 1))],
+)
+def test_each_input_heap_runs_once_per_triple_check(monkeypatch, file, values):
+    real = hoare._check_binary_triple
+    runs = []  # per triple check: (inputs run by impl1, by impl2, pairs checked)
+
+    def counting(location, pre, run1, run2, *rest):
+        seen1, seen2 = [], []
+
+        def wrap(run, seen):
+            def counted(h):
+                seen.append(h)
+                return run(h)
+
+            return counted
+
+        violation, checked = real(
+            location, pre, wrap(run1, seen1), wrap(run2, seen2), *rest
+        )
+        runs.append((seen1, seen2, checked))
+        return violation, checked
+
+    monkeypatch.setattr(hoare, "_check_binary_triple", counting)
+    verdict = _validity(_load(file), values)
+    assert verdict.ok
+    assert runs
+    for seen1, seen2, _ in runs:
+        assert len(seen1) == len(set(seen1))
+        assert len(seen2) == len(set(seen2))
+    # Input/frame pairs share input heaps, so a run per pair would repeat.
+    assert sum(checked for *_, checked in runs) > sum(
+        len(seen1) + len(seen2) for seen1, seen2, _ in runs
+    )
+
+
+# Implementations that do not respect frames, written as heap functions: the
+# post check must see that the frame is still there on both sides and is
+# disjoint from the post generator it pairs with.
+def _alloc_1(h):
+    return h if 1 in h else Heap({**dict(h.cells), 1: 0})
+
+
+def _drop_2(h):
+    return Heap({loc: val for loc, val in h.cells if loc != 2})
+
+
+def _identity(h):
+    return h
+
+
+# a relates [1|->0] on the left to [] on the right, so its post generator
+# can overlap a left frame while the right side is always fine.
+LEFT_ONLY = {"a": GenRel(2, [(heap((1, 0)), EMPTY_HEAP)])}
+
+NON_LOCAL = [
+    ("true", "1|->_", _alloc_1, _alloc_1, {}),
+    ("true", "a", _alloc_1, _identity, LEFT_ONLY),
+    ("true", "true", _identity, _drop_2, {}),
+    ("true", "true", _drop_2, _identity, {}),
+]
+
+
+@pytest.mark.parametrize("pre, post, op1, op2, coupling", NON_LOCAL)
+def test_non_local_implementations_match_naive_reference(
+    monkeypatch, pre, post, op1, op2, coupling
+):
+    budget = SearchBudget(2, (0, 1))
+    pre, post = parse(pre, frozenset(coupling)), parse(post, frozenset(coupling))
+    gamma = make_context([Triple(pre, "op", post)])
+
+    def validity():
+        return two_validity_test(
+            gamma, ({"op": op1}, {"op": op2}), AssertEnv(2, coupling), {}, pre,
+            Call("op"), post, budget, budget.domain(),
+        )
+
+    fast = validity()
+    monkeypatch.setattr(hoare, "_check_binary_triple", naive_check_binary_triple)
+    naive = validity()
+    assert not naive.ok and naive.failed_triple == "op"
+    assert fast == naive
