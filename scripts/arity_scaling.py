@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""How many copies of a variable buy how much arity.
+r"""How many copies of a variable buy how much arity.
 
 For the implication  1|->_ /\ a^k * b  |=  1|->_ * a \/ 1|->_ * b  (with k
 occurrences of `a` in the second conjunct), counterexample environments exist

@@ -16,7 +16,6 @@ from .normalize import ImplicationForm, reduce_implication, to_simple
 from .layout import compute_layout, to_dot
 from .semantics import (
     DEFAULT_BUDGET,
-    DEFAULT_DOMAIN,
     SearchBudget,
     ValueDomain,
     env_valid,
@@ -55,7 +54,6 @@ __all__ = [
     "to_dot",
     "ValueDomain",
     "SearchBudget",
-    "DEFAULT_DOMAIN",
     "DEFAULT_BUDGET",
     "interpret",
     "env_valid",

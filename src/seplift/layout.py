@@ -41,12 +41,6 @@ class LayoutGraph:
     def edge(self, i: int, j: int) -> Edge:
         return self.edges[i][j]
 
-    def pi_count(self, i: int, var: str) -> int:
-        return self.pi[i][self.variables.index(var)]
-
-    def omega_count(self, j: int, var: str) -> int:
-        return self.omega[j][self.variables.index(var)]
-
     def conjunct_empty(self, i: int) -> bool:
         return not any(self.pi[i])
 

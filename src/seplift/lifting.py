@@ -13,18 +13,18 @@ relational interpretation:
 
 The criteria are jointly complete for layouts: when all three fail, some
 choice of variable-free bases with the same layout is unary valid but not
-binary valid, and ``witness_search`` looks for such an instance, packaging a
-re-checkable binary refutation together with bounded evidence of unary
-validity.
+binary valid.  ``witness_search`` looks for such an instance among template
+bases, skipping those that ``pc_check`` accepts (they are valid at every
+arity), and packages a re-checkable binary refutation together with bounded
+evidence of unary validity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .heap import EMPTY_HEAP, cells
 from .layout import LayoutGraph, compute_layout
 from .normalize import (
     Clause,
@@ -34,13 +34,14 @@ from .normalize import (
     reduce_implication,
     to_simple,
 )
-from .relations import GenRel, HeapTuple, member, top
+from .relations import HeapTuple, member
 from .semantics import (
     DEFAULT_BUDGET,
     SearchBudget,
     env_candidate_count,
     find_counter_env,
     interpret,
+    pc_check,
 )
 from .syntax import (
     AssertEnv,
@@ -293,106 +294,6 @@ def verify_package(pkg: CounterexamplePackage) -> bool:
     return find_counter_env(lhs, rhs, pkg.eta, 1, pkg.unary_budget) is None
 
 
-def _fan_package(
-    g: LayoutGraph, budget: SearchBudget
-) -> CounterexamplePackage | None:
-    """Exact match for the two-variable fan layout, in any presentation order.
-
-    One conjunct carries no variables, the other one occurrence of each of
-    the two variables; each disjunct carries a single occurrence of a
-    distinct variable.  The packaged instance pins a single cell on both
-    witness components jointly, while the environment splits ownership: one
-    variable holds the cell in the left component only, the other in the
-    right component only, so neither disjunct can reassemble the pair.
-    """
-    if (
-        g.conjunct_count != 2
-        or g.disjunct_count != 2
-        or len(g.variables) != 2
-        or sorted(g.pi) != [(0, 0), (1, 1)]
-        or sorted(g.omega) != [(0, 1), (1, 0)]
-    ):
-        return None
-    pointy = PointsToAny(IntLit(1))
-    conjuncts = tuple(
-        Clause(TrueLit() if any(row) else pointy, _vars_from_counts(g.variables, row))
-        for row in g.pi
-    )
-    disjuncts = tuple(
-        Clause(pointy, _vars_from_counts(g.variables, row)) for row in g.omega
-    )
-    form = ImplicationForm(conjuncts, disjuncts)
-    rho = AssertEnv(
-        2,
-        {
-            disjuncts[0].avars[0]: GenRel(2, [(cells(1), EMPTY_HEAP)]),
-            disjuncts[1].avars[0]: GenRel(2, [(EMPTY_HEAP, cells(1))]),
-        },
-    )
-    return _package_if_sound(form, rho, (cells(1), cells(1)), budget)
-
-
-def _bridge_package(
-    g: LayoutGraph, budget: SearchBudget
-) -> CounterexamplePackage | None:
-    """Exact match for the two-variable bridge layout.
-
-    One variable is doubled: it appears once in a mixed conjunct alongside
-    the other variable, twice in the remaining conjunct, and twice in one
-    disjunct; the other variable fills the remaining disjunct.  Giving the
-    doubled variable two unrelated generators lets its star cover an
-    asymmetric pair that neither disjunct can reproduce.
-    """
-    if g.conjunct_count != 2 or g.disjunct_count != 2 or len(g.variables) != 2:
-        return None
-    doubled = None
-    for v in range(2):
-        other = 1 - v
-        pi_rows = {tuple(row) for row in g.pi}
-        omega_rows = {tuple(row) for row in g.omega}
-        want_pi = {_counts_at(v, 1, other, 1), _counts_at(v, 2, other, 0)}
-        want_omega = {_counts_at(v, 2, other, 0), _counts_at(v, 0, other, 1)}
-        if pi_rows == want_pi and omega_rows == want_omega:
-            doubled = v
-            break
-    if doubled is None:
-        return None
-    other = 1 - doubled
-    nonempty = NonEmptyHeap()
-    conjuncts = tuple(
-        Clause(
-            nonempty if row[doubled] == 1 else TrueLit(),
-            _vars_from_counts(g.variables, row),
-        )
-        for row in g.pi
-    )
-    disjuncts = tuple(
-        Clause(
-            nonempty if row[doubled] == 2 else Star(nonempty, nonempty),
-            _vars_from_counts(g.variables, row),
-        )
-        for row in g.omega
-    )
-    form = ImplicationForm(conjuncts, disjuncts)
-    rho = AssertEnv(
-        2,
-        {
-            g.variables[doubled]: GenRel(
-                2, [(cells(1), EMPTY_HEAP), (cells(2), cells(2))]
-            ),
-            g.variables[other]: top(2),
-        },
-    )
-    return _package_if_sound(form, rho, (cells(1, 2), cells(2)), budget)
-
-
-def _counts_at(v: int, v_count: int, other: int, other_count: int) -> tuple[int, int]:
-    row = [0, 0]
-    row[v] = v_count
-    row[other] = other_count
-    return tuple(row)
-
-
 def _vars_from_counts(
     variables: tuple[str, ...], counts: tuple[int, ...]
 ) -> tuple[str, ...]:
@@ -414,28 +315,6 @@ def _unary_evidence_budget(budget: SearchBudget) -> SearchBudget:
     )
 
 
-def _package_if_sound(
-    form: ImplicationForm,
-    rho: AssertEnv,
-    witness: HeapTuple,
-    budget: SearchBudget,
-) -> CounterexamplePackage | None:
-    lhs, rhs = implication_assertions(form)
-    dom = budget.domain()
-    if not member(interpret(lhs, {}, rho, 2, dom), witness):
-        return None
-    if member(interpret(rhs, {}, rho, 2, dom), witness):
-        return None
-    unary_budget = _unary_evidence_budget(budget)
-    if find_counter_env(lhs, rhs, {}, 1, unary_budget) is not None:
-        return None
-    variables = form.variables
-    return CounterexamplePackage(
-        form, {}, rho, witness, unary_budget,
-        env_candidate_count(len(variables), 1, unary_budget),
-    )
-
-
 _BASE_TEMPLATES: tuple[Assertion, ...] = (
     TrueLit(),
     NonEmptyHeap(),
@@ -445,6 +324,26 @@ _BASE_TEMPLATES: tuple[Assertion, ...] = (
 )
 
 
+def _template_instances(g: LayoutGraph) -> Iterator[ImplicationForm]:
+    """Each template choice of bases for the layout, in search order."""
+    slots = g.conjunct_count + g.disjunct_count
+    assignments = sorted(
+        product(range(len(_BASE_TEMPLATES)), repeat=slots),
+        key=lambda a: (sum(a), a),
+    )
+    for assignment in assignments:
+        yield ImplicationForm(
+            tuple(
+                Clause(_BASE_TEMPLATES[t], _vars_from_counts(g.variables, row))
+                for t, row in zip(assignment, g.pi)
+            ),
+            tuple(
+                Clause(_BASE_TEMPLATES[t], _vars_from_counts(g.variables, row))
+                for t, row in zip(assignment[g.conjunct_count :], g.omega)
+            ),
+        )
+
+
 def witness_search(
     subject: ImplicationForm | LayoutGraph,
     budget: SearchBudget = DEFAULT_BUDGET,
@@ -452,62 +351,32 @@ def witness_search(
     """Search for a unary-valid, binary-invalid instance of a layout.
 
     Returns None immediately when the layout satisfies a lifting criterion
-    (soundness forbids a witness).  Otherwise tries the two known layout
-    families directly, then instantiates the variable-free parts from a small
-    template family, keeping instances that survive a bounded unary validity
-    search and refuting them with the binary environment search.
+    (soundness forbids a witness).  Otherwise instantiates the variable-free
+    parts from a small template family.  Instances that `pc_check` accepts
+    are skipped: they meet the arity-independent validity condition, so no
+    arity refutes them.  The rest are kept when they survive a bounded unary
+    validity search and refuted with the binary environment search.
     """
     g = subject if isinstance(subject, LayoutGraph) else compute_layout(subject)
     shadow_ok, _ = shadow_criterion(g)
     if shadow_ok or balloon_criterion(g) or lonely_criterion(g):
         return None
 
-    for fast_path in (_fan_package, _bridge_package):
-        pkg = fast_path(g, budget)
-        if pkg is not None:
-            return pkg
-
-    solid_into = [
-        any(g.edge(i, j).solid for i in range(g.conjunct_count))
-        for j in range(g.disjunct_count)
-    ]
-    slots = g.conjunct_count + g.disjunct_count
-    assignments = sorted(
-        product(range(len(_BASE_TEMPLATES)), repeat=slots),
-        key=lambda a: (sum(a), a),
-    )
-    for assignment in assignments:
-        conj_idx = assignment[: g.conjunct_count]
-        disj_idx = assignment[g.conjunct_count :]
-        # A `true` base on a disjunct fed by a solid edge absorbs the whole
-        # left side at every arity; such an instance can never refute.
-        if any(
-            disj_idx[j] == 0 and solid_into[j] for j in range(g.disjunct_count)
-        ):
+    unary_budget = _unary_evidence_budget(budget)
+    for form in _template_instances(g):
+        if pc_check(form, {}, budget):
             continue
-        form = ImplicationForm(
-            tuple(
-                Clause(_BASE_TEMPLATES[t], _vars_from_counts(g.variables, row))
-                for t, row in zip(conj_idx, g.pi)
-            ),
-            tuple(
-                Clause(_BASE_TEMPLATES[t], _vars_from_counts(g.variables, row))
-                for t, row in zip(disj_idx, g.omega)
-            ),
-        )
         lhs, rhs = implication_assertions(form)
-        unary_budget = _unary_evidence_budget(budget)
         if find_counter_env(lhs, rhs, {}, 1, unary_budget) is not None:
             continue  # not (boundedly) unary valid; useless as a witness
         refutation = find_counter_env(lhs, rhs, {}, 2, budget)
         if refutation is not None:
-            variables = form.variables
             return CounterexamplePackage(
                 form,
                 {},
                 refutation.rho,
                 refutation.witness,
                 unary_budget,
-                env_candidate_count(len(variables), 1, unary_budget),
+                env_candidate_count(len(form.variables), 1, unary_budget),
             )
     return None

@@ -50,6 +50,11 @@ __all__ = [
     "format_implication",
 ]
 
+# Size bounds: past MAX_CLAUSES disjuncts `to_simple` gives up (returns
+# None), and past MAX_FAMILY members `reduce_implication` raises.
+MAX_CLAUSES = 10_000
+MAX_FAMILY = 10_000
+
 
 @dataclass(frozen=True)
 class Clause:
@@ -120,9 +125,9 @@ class _Blowup(Exception):
     pass
 
 
-def to_simple(phi: Assertion, max_clauses: int = 10_000) -> SimpleAssertion | None:
+def to_simple(phi: Assertion) -> SimpleAssertion | None:
     try:
-        dnf = _norm(phi, max_clauses)
+        dnf = _norm(phi)
     except _Blowup:
         return None
     if dnf is None:
@@ -134,7 +139,7 @@ def to_simple(phi: Assertion, max_clauses: int = 10_000) -> SimpleAssertion | No
     return SimpleAssertion(disjuncts)
 
 
-def _norm(a: Assertion, limit: int) -> list[list[_Builder]] | None:
+def _norm(a: Assertion) -> list[list[_Builder]] | None:
     """DNF of `a` as disjuncts -> conjuncts -> builder clauses, or None."""
     if isinstance(a, FalseLit):
         return []
@@ -143,32 +148,32 @@ def _norm(a: Assertion, limit: int) -> list[list[_Builder]] | None:
     if isinstance(a, Or):
         # Disjunctions split even when variable-free, so that e.g. a
         # disjunctive operand of * gets distributed.
-        left = _norm(a.left, limit)
-        right = _norm(a.right, limit)
+        left = _norm(a.left)
+        right = _norm(a.right)
         if left is None or right is None:
             return None
-        _check_size(len(left) + len(right), limit)
+        _check_size(len(left) + len(right))
         return left + right
     if not assertion_vars(a):
         if isinstance(a, TrueLit):
             return [[((), ())]]
         return [[((a,), ())]]
     if isinstance(a, And):
-        left = _norm(a.left, limit)
-        right = _norm(a.right, limit)
+        left = _norm(a.left)
+        right = _norm(a.right)
         if left is None or right is None:
             return None
-        _check_size(len(left) * len(right), limit)
+        _check_size(len(left) * len(right))
         return [lc + rc for lc in left for rc in right]
     if isinstance(a, Star):
-        left = _norm(a.left, limit)
-        right = _norm(a.right, limit)
+        left = _norm(a.left)
+        right = _norm(a.right)
         if left is None or right is None:
             return None
         # * distributes over \/ but not over /\: each side must contribute a
         # single clause per disjunct.
         out: list[list[_Builder]] = []
-        _check_size(len(left) * len(right), limit)
+        _check_size(len(left) * len(right))
         for lc in left:
             if len(lc) != 1:
                 return None
@@ -179,7 +184,7 @@ def _norm(a: Assertion, limit: int) -> list[list[_Builder]] | None:
                 out.append([(lb + rb, tuple(sorted(lv + rv)))])
         return out
     if isinstance(a, Exists):
-        body = _norm(a.body, limit)
+        body = _norm(a.body)
         if body is None or len(body) != 1 or len(body[0]) != 1:
             # Pulling EX out of /\ or \/ is not among the permitted laws.
             return None
@@ -193,8 +198,8 @@ def _norm(a: Assertion, limit: int) -> list[list[_Builder]] | None:
     raise TypeError(f"not an assertion: {a!r}")
 
 
-def _check_size(n: int, limit: int) -> None:
-    if n > limit:
+def _check_size(n: int) -> None:
+    if n > MAX_CLAUSES:
         raise _Blowup
 
 
@@ -202,7 +207,7 @@ def _check_size(n: int, limit: int) -> None:
 
 
 def reduce_implication(
-    lhs: SimpleAssertion, rhs: SimpleAssertion, max_family: int = 10_000
+    lhs: SimpleAssertion, rhs: SimpleAssertion
 ) -> list[ImplicationForm]:
     """Reduce a simple implication to its canonical family.
 
@@ -215,7 +220,7 @@ def reduce_implication(
     clause_count = 1
     for disjunct in rhs.disjuncts:
         clause_count *= max(len(disjunct), 1)
-    if clause_count * len(lhs.disjuncts) > max_family:
+    if clause_count * len(lhs.disjuncts) > MAX_FAMILY:
         raise ValueError("implication reduction exceeds the family size bound")
 
     if rhs.disjuncts:

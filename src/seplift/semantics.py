@@ -64,7 +64,6 @@ from .syntax import (
 __all__ = [
     "ValueDomain",
     "SearchBudget",
-    "DEFAULT_DOMAIN",
     "DEFAULT_BUDGET",
     "interpret",
     "env_valid",
@@ -85,8 +84,8 @@ class ValueDomain:
     exact meaning ranges over all positive locations.
     """
 
-    values: tuple[int, ...] = (0, 1)
-    locations: tuple[int, ...] = (1, 2, 3)
+    values: tuple[int, ...]
+    locations: tuple[int, ...]
 
     def __post_init__(self):
         if not self.values:
@@ -121,7 +120,6 @@ class SearchBudget:
         return ValueDomain(self.values, tuple(range(1, self.max_loc + 1)))
 
 
-DEFAULT_DOMAIN = ValueDomain()
 DEFAULT_BUDGET = SearchBudget()
 
 
@@ -164,7 +162,7 @@ def interpret(
     eta: Mapping[str, int] | None,
     rho: AssertEnv | None,
     n: int,
-    dom: ValueDomain = DEFAULT_DOMAIN,
+    dom: ValueDomain,
 ) -> GenRel:
     """The n-ary meaning of `phi` under environments `eta` and `rho`."""
     if rho is not None and rho.arity != n:
@@ -227,7 +225,7 @@ def env_valid(
     eta: Mapping[str, int] | None,
     rho: AssertEnv | None,
     n: int,
-    dom: ValueDomain = DEFAULT_DOMAIN,
+    dom: ValueDomain,
 ) -> bool:
     """Whether lhs entails rhs at arity n under the given fixed environments."""
     return included(interpret(lhs, eta, rho, n, dom), interpret(rhs, eta, rho, n, dom))

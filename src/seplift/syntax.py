@@ -286,7 +286,9 @@ def star_all(parts: list[Assertion]) -> Assertion:
 class ParseError(ValueError):
     def __init__(self, message: str, position: int, text: str):
         super().__init__(f"{message} at offset {position}: {text!r}")
+        self.message = message
         self.position = position
+        self.text = text
 
 
 # The token set also covers the command language (":=", brackets, braces,
@@ -672,5 +674,7 @@ def parse_assertion_file(text: str) -> AssertionFile:
             else:
                 assertions.append(parse(line, avars))
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.position, raw)
+            raise ParseError(
+                f"line {lineno}: {exc.message}", exc.position, exc.text
+            ) from None
     return AssertionFile(avars, eta, tuple(assertions), tuple(implications))

@@ -1,4 +1,5 @@
-import pytest
+import random
+from itertools import product
 
 from conftest import AVARS
 from seplift.catalog import CURATED_SUITE, make_form
@@ -6,6 +7,7 @@ from seplift.heap import EMPTY_HEAP, cells
 from seplift.layout import compute_layout
 from seplift.lifting import (
     CounterexamplePackage,
+    _template_instances,
     balloon_criterion,
     chk,
     lift_check,
@@ -14,10 +16,15 @@ from seplift.lifting import (
     verify_package,
     witness_search,
 )
-from seplift.normalize import Clause, ImplicationForm
+from seplift.normalize import Clause, ImplicationForm, implication_assertions
 from seplift.relations import GenRel, top
-from seplift.semantics import SearchBudget
-from seplift.syntax import parse
+from seplift.semantics import (
+    SearchBudget,
+    env_candidate_count,
+    find_counter_env,
+    pc_check,
+)
+from seplift.syntax import AssertEnv, TrueLit, parse
 
 FAN = make_form([("1|->_", ""), ("true", "a b")], [("1|->_", "a"), ("1|->_", "b")])
 BRIDGE = make_form([("-", "a b"), ("true", "a a")], [("-", "a a"), ("-*-", "b")])
@@ -29,6 +36,41 @@ BALLOON = make_form(
 )
 LONELY = make_form([("1|->_", "a a")], [("true", "a")])
 WB = SearchBudget(max_loc=2)
+
+# The paper's refutations of the fan and the bridge, built by hand.  In the
+# fan, one variable holds the pinned cell in the left component only, the
+# other in the right component only, so neither disjunct can reassemble the
+# pair.  In the bridge, the doubled variable gets two unrelated generators,
+# so its star covers an asymmetric pair that neither disjunct reproduces.
+PAPER_UNARY_BUDGET = SearchBudget(max_loc=3, max_generators=3)
+FAN_PACKAGE = CounterexamplePackage(
+    FAN,
+    {},
+    AssertEnv(
+        2,
+        {
+            "a": GenRel(2, [(cells(1), EMPTY_HEAP)]),
+            "b": GenRel(2, [(EMPTY_HEAP, cells(1))]),
+        },
+    ),
+    (cells(1), cells(1)),
+    PAPER_UNARY_BUDGET,
+    env_candidate_count(2, 1, PAPER_UNARY_BUDGET),
+)
+BRIDGE_PACKAGE = CounterexamplePackage(
+    BRIDGE,
+    {},
+    AssertEnv(
+        2,
+        {
+            "a": GenRel(2, [(cells(1), EMPTY_HEAP), (cells(2), cells(2))]),
+            "b": top(2),
+        },
+    ),
+    (cells(1, 2), cells(2)),
+    PAPER_UNARY_BUDGET,
+    env_candidate_count(2, 1, PAPER_UNARY_BUDGET),
+)
 
 
 def test_shadow_criterion():
@@ -109,24 +151,20 @@ def test_chk_reordering_invariance():
     assert chk(lhs1, parse("1|->_")).ok == chk(lhs2, parse("1|->_")).ok
 
 
+def _assert_witnesses_layout(form: ImplicationForm) -> None:
+    pkg = witness_search(form, WB)
+    assert pkg is not None and verify_package(pkg)
+    assert compute_layout(pkg.form) == compute_layout(form)
+
+
 def test_witness_search_fan_package_matches_known_refutation():
-    pkg = witness_search(FAN, WB)
-    assert pkg is not None
-    assert pkg.binary_rho["a"] == GenRel(2, [(cells(1), EMPTY_HEAP)])
-    assert pkg.binary_rho["b"] == GenRel(2, [(EMPTY_HEAP, cells(1))])
-    assert pkg.witness == (cells(1), cells(1))
-    assert verify_package(pkg)
+    assert verify_package(FAN_PACKAGE)
+    _assert_witnesses_layout(FAN)
 
 
 def test_witness_search_bridge_package_matches_known_refutation():
-    pkg = witness_search(BRIDGE, WB)
-    assert pkg is not None
-    assert pkg.binary_rho["a"] == GenRel(
-        2, [(cells(1), EMPTY_HEAP), (cells(2), cells(2))]
-    )
-    assert pkg.binary_rho["b"] == top(2)
-    assert pkg.witness == (cells(1, 2), cells(2))
-    assert verify_package(pkg)
+    assert verify_package(BRIDGE_PACKAGE)
+    _assert_witnesses_layout(BRIDGE)
 
 
 def test_witness_search_accepted_layouts_return_none():
@@ -160,10 +198,65 @@ def test_witness_search_may_come_up_empty():
     assert lift_check(x_layout).result == "no_guarantee"
     pkg = witness_search(x_layout, WB)
     assert pkg is None or verify_package(pkg)
+    # the default budget's extra location is enough for a package
+    pkg = witness_search(x_layout)
+    assert pkg is not None and verify_package(pkg)
+
+
+def test_pc_accepted_template_instances_are_never_refuted():
+    # witness_search skips every instance pc_check accepts; check on a
+    # spread-out sample of them that no arity-1 or arity-2 refutation exists
+    per_layout = 15
+    for name in ("fan", "bridge", "fan-scaled-double"):
+        (entry,) = (e for e in CURATED_SUITE if e.name == name)
+        accepted = [
+            form
+            for form in _template_instances(compute_layout(entry.form))
+            if pc_check(form, {}, WB)
+        ]
+        assert len(accepted) >= per_layout, name
+        for form in accepted[:: len(accepted) // per_layout][:per_layout]:
+            lhs, rhs = implication_assertions(form)
+            for n in (1, 2):
+                assert find_counter_env(lhs, rhs, {}, n, WB) is None, (name, form)
+
+
+def _small_no_guarantee_layouts() -> list[ImplicationForm]:
+    """Layouts over a, b with counts <= 2, <= 2 conjuncts and <= 2 disjuncts."""
+
+    def clause(row: tuple[int, ...]) -> Clause:
+        return Clause(TrueLit(), ("a",) * row[0] + ("b",) * row[1])
+
+    rows = list(product(range(3), repeat=2))
+    out = []
+    for conjuncts, disjuncts in product(
+        [c for k in (1, 2) for c in product(rows, repeat=k)],
+        [d for k in (1, 2) for d in product(rows, repeat=k)],
+    ):
+        try:
+            form = ImplicationForm(
+                tuple(map(clause, conjuncts)), tuple(map(clause, disjuncts))
+            )
+        except ValueError:
+            continue  # a right-hand variable missing on the left
+        if lift_check(form).result == "no_guarantee":
+            out.append(form)
+    return out
+
+
+def test_witness_search_packages_verify_on_sampled_layouts():
+    sample = random.Random(20261018).sample(_small_no_guarantee_layouts(), 16)
+    packages = [witness_search(form, WB) for form in sample]
+    found = [pkg for pkg in packages if pkg is not None]
+    assert found, "the sample should contain witnessable layouts"
+    for form, pkg in zip(sample, packages):
+        if pkg is not None:
+            assert verify_package(pkg), form
+            assert compute_layout(pkg.form) == compute_layout(form)
 
 
 def test_verify_package_rejects_tampering():
-    pkg = witness_search(FAN, WB)
+    pkg = FAN_PACKAGE
     bad = CounterexamplePackage(
         pkg.form,
         pkg.eta,

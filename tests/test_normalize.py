@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from conftest import AVARS, assertions, gen_rels
 from seplift.catalog import make_form
 from seplift.normalize import (
+    MAX_CLAUSES,
+    MAX_FAMILY,
     Clause,
     ImplicationForm,
+    SimpleAssertion,
     clause_assertion,
     format_implication,
     implication_assertions,
@@ -21,6 +24,7 @@ from seplift.syntax import (
     AssertEnv,
     Exists,
     FalseLit,
+    IntLit,
     PointsTo,
     TrueLit,
     assertion_vars,
@@ -117,6 +121,31 @@ def test_reduce_false_rhs():
     assert form.disjuncts == ()
     lhs_back, rhs_back = implication_assertions(form)
     assert rhs_back == FalseLit()
+
+
+def test_to_simple_gives_up_past_the_clause_bound():
+    # a conjunction of k ten-way disjunctions has 10**k disjuncts in DNF;
+    # k is the largest count within the bound
+    ten_way = " \\/ ".join(f"{i}|->_ * a" for i in range(1, 11))
+    k = 1
+    while 10 ** (k + 1) <= MAX_CLAUSES:
+        k += 1
+    at_bound = to_simple(parse(" /\\ ".join([f"({ten_way})"] * k), AVARS))
+    assert at_bound is not None and len(at_bound.disjuncts) == 10**k
+    past = parse(" /\\ ".join([f"({ten_way})"] * (k + 1)), AVARS)
+    assert to_simple(past) is None
+
+
+def test_reduce_implication_raises_past_the_family_bound():
+    lhs = SimpleAssertion(((Clause(TrueLit(), ("a",)),),))
+    wide = tuple(
+        Clause(PointsTo(IntLit(i), IntLit(0)), ("a",))
+        for i in range(1, MAX_FAMILY + 1)
+    )
+    assert len(reduce_implication(lhs, SimpleAssertion((wide,)))) == MAX_FAMILY
+    two_lhs = SimpleAssertion(lhs.disjuncts * 2)
+    with pytest.raises(ValueError, match="family size bound"):
+        reduce_implication(two_lhs, SimpleAssertion((wide,)))
 
 
 def test_reduce_cnf_splitting():

@@ -136,6 +136,15 @@ def test_assertion_file_reports_line():
     assert "line 3" in str(exc.value)
 
 
+def test_assertion_file_error_names_text_and_offset_once():
+    with pytest.raises(ParseError) as exc:
+        parse_assertion_file("avars: a\n\n((a\n")
+    text = str(exc.value)
+    assert text == "line 3: expected ')' at offset 3: '((a'"
+    assert text.count("((a") == 1 and text.count("offset") == 1
+    assert exc.value.position == 3
+
+
 def test_parse_header_folds_lines():
     avars, eta = parse_header("avars", " a, b,", frozenset(), {})
     avars, eta = parse_header("avars", "c", avars, eta)
