@@ -199,15 +199,25 @@ def _cmd_chk(args, out: _Output) -> int:
 def _cmd_search(args, out: _Output) -> int:
     doc = _first_implication(args.file)
     lhs, rhs = doc.implications[0]
-    result = find_counter_env(lhs, rhs, doc.eta, args.arity, _budget(args))
+    budget = _budget(args)
+    result = find_counter_env(lhs, rhs, doc.eta, args.arity, budget)
+    bound = {
+        "locs": budget.max_loc,
+        "vals": list(budget.values),
+        "gens": budget.max_generators,
+        "heap_size": budget.max_heap_size,
+    }
     if result is None:
         out.emit(
-            {"arity": args.arity, "counterexample": None},
-            f"NONE within budget at arity {args.arity} (not a validity proof)",
+            {"arity": args.arity, "budget": bound, "counterexample": None},
+            f"NONE within budget (locs<={budget.max_loc}, vals={bound['vals']}, "
+            f"gens<={budget.max_generators}, heap size<={budget.max_heap_size}) "
+            f"at arity {args.arity} (not a validity proof)",
         )
         return _EXIT_OK
     record = {
         "arity": args.arity,
+        "budget": bound,
         "rho": {n: format_relation(r) for n, r in result.rho.items()},
         "witness": [format_heap(h) for h in result.witness],
     }

@@ -28,7 +28,7 @@ one triple check each implementation runs once per distinct input heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .heap import Heap, compose, disjoint, extends
@@ -514,7 +514,9 @@ def two_validity_test(
         )
         total += checked
         if violation is not None:
-            return ValidityVerdict(False, violation, triple.name, total)
+            return ValidityVerdict(
+                False, _note_values_outside(violation, dom), triple.name, total
+            )
     run1 = lambda h: exec_command(client, eta, impl1, h)
     run2 = lambda h: exec_command(client, eta, impl2, h)
     violation, checked = _check_binary_triple(
@@ -522,8 +524,33 @@ def two_validity_test(
     )
     total += checked
     if violation is not None:
-        return ValidityVerdict(False, violation, None, total)
+        return ValidityVerdict(False, _note_values_outside(violation, dom), None, total)
     return ValidityVerdict(True, None, None, total)
+
+
+def _note_values_outside(violation: Violation, dom: ValueDomain) -> Violation:
+    """Add to the reason any output value outside the value domain.
+
+    Couplings and postconditions are only checked against what the domain
+    encodes, so an output that leaves it can fail for that reason alone.
+    """
+    if any(out is ERR for out in violation.outputs):
+        return violation
+    outside = sorted(
+        {v for out in violation.outputs for _, v in out.cells} - set(dom.values)
+    )
+    if not outside:
+        return violation
+    noun, verb = ("values", "lie") if len(outside) > 1 else ("value", "lies")
+    values = ", ".join(map(str, outside))
+    domain = ", ".join(map(str, dom.values))
+    return replace(
+        violation,
+        reason=(
+            f"{violation.reason}; output {noun} {values} {verb} outside the value "
+            f"domain {{{domain}}}, so the violation may come from the bound"
+        ),
+    )
 
 
 def _within_budget(h: Heap, budget: SearchBudget) -> bool:

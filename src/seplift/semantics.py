@@ -9,7 +9,17 @@ value domain.  Results are exact for quantifier-free assertions and
 domain-relative otherwise, which every report states.
 
 ``find_counter_env`` searches the space of assertion-variable environments
-within a budget for a refutation of an implication at a given arity, and
+within a budget for a refutation of an implication at a given arity.  The
+meaning of an assertion is fixed up to renaming (the parametricity behind the
+relational reading): renaming heap locations by a permutation that fixes the
+meaning of every primitive, or permuting the n tuple coordinates, commutes
+with interpretation, so the meaning under a renamed environment is the
+renamed meaning.  A refutation's whole orbit under these symmetries thus
+refutes, and the search
+visits only the lexicographically least member of each orbit; the first
+refutation in its fixed visiting order is such a member, so the answer is the
+one the full enumeration gives.
+
 ``pc_check`` decides (within a heap bound) the semantic condition that makes
 an implication valid for arity-independent reasons: every family of subheaps
 of a common heap that lands in the left conjunct bases must already be
@@ -21,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, Mapping
 
 from .heap import Heap
@@ -170,6 +180,15 @@ def interpret(
     return _interpret(phi, _freeze_eta(eta), rho, n, dom)
 
 
+def _bind(
+    eta_key: tuple[tuple[str, int], ...], var: str, value: int
+) -> tuple[tuple[str, int], ...]:
+    return tuple(sorted((dict(eta_key) | {var: value}).items()))
+
+
+_PRIMITIVES = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)
+
+
 def _interpret(
     phi: Assertion,
     eta_key: tuple[tuple[str, int], ...],
@@ -177,7 +196,7 @@ def _interpret(
     n: int,
     dom: ValueDomain,
 ) -> GenRel:
-    if isinstance(phi, (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)):
+    if isinstance(phi, _PRIMITIVES):
         return delta(n, _prim_unary(phi, eta_key, dom))
     if isinstance(phi, AVar):
         if rho is None or phi.name not in rho:
@@ -207,13 +226,13 @@ def _interpret(
     if isinstance(phi, Exists):
         result = empty(n)
         for v in dom.values:
-            eta_v = tuple(sorted((dict(eta_key) | {phi.var: v}).items()))
+            eta_v = _bind(eta_key, phi.var, v)
             result = union(result, _interpret(phi.body, eta_v, rho, n, dom))
         return result
     if isinstance(phi, Forall):
         result = top(n)
         for v in dom.values:
-            eta_v = tuple(sorted((dict(eta_key) | {phi.var: v}).items()))
+            eta_v = _bind(eta_key, phi.var, v)
             result = meet(result, _interpret(phi.body, eta_v, rho, n, dom))
         return result
     raise TypeError(f"not an assertion: {phi!r}")
@@ -298,6 +317,120 @@ class CounterexampleEnv:
     witness: HeapTuple
 
 
+@dataclass(frozen=True)
+class _CandidateSpace:
+    """The candidate relations of one (n, budget) and their symmetries.
+
+    `by_size` is `candidate_relations(n, budget)`.  `symmetries` pairs each
+    permutation of the locations 1..max_loc with one index table per
+    permutation of the n coordinates: table[k][i] is the position in
+    by_size[k] of the renamed by_size[k][i].  The identity is left out.
+    """
+
+    by_size: list[list[GenRel]]
+    symmetries: tuple[tuple[dict[int, int], tuple], ...]
+
+
+@lru_cache(maxsize=8)
+def _candidate_space(n: int, budget: SearchBudget) -> _CandidateSpace:
+    by_size = candidate_relations(n, budget)
+    heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
+    tuples = _bounded_tuples(n, budget)
+    tuple_pos = {t: i for i, t in enumerate(tuples)}
+    combos = [
+        [tuple(sorted(tuple_pos[t] for t in rel.generators)) for rel in group]
+        for group in by_size
+    ]
+    combo_pos = [{c: i for i, c in enumerate(group)} for group in combos]
+    locs = range(1, budget.max_loc + 1)
+    symmetries = []
+    for images in permutations(locs):
+        sigma = dict(zip(locs, images))
+        renamed = {h: Heap({sigma[loc]: v for loc, v in h.cells}) for h in heaps}
+        tables = []
+        for coords in permutations(range(n)):
+            if images == tuple(locs) and coords == tuple(range(n)):
+                continue
+            tuple_map = [
+                tuple_pos[tuple(renamed[t[c]] for c in coords)] for t in tuples
+            ]
+            tables.append(tuple(
+                tuple(pos[tuple(sorted(tuple_map[t] for t in c))] for c in group)
+                for group, pos in zip(combos, combo_pos)
+            ))
+        symmetries.append((sigma, tuple(tables)))
+    return _CandidateSpace(by_size, tuple(symmetries))
+
+
+def _primitive_meanings(
+    phi: Assertion, eta_key: tuple[tuple[str, int], ...], dom: ValueDomain
+) -> Iterable[GenRel]:
+    """The unary meaning of every primitive `_interpret` reaches in `phi`."""
+    if isinstance(phi, _PRIMITIVES):
+        yield _prim_unary(phi, eta_key, dom)
+    elif isinstance(phi, (Star, And, Or)):
+        yield from _primitive_meanings(phi.left, eta_key, dom)
+        yield from _primitive_meanings(phi.right, eta_key, dom)
+    elif isinstance(phi, (Exists, Forall)):
+        for v in dom.values:
+            yield from _primitive_meanings(phi.body, _bind(eta_key, phi.var, v), dom)
+
+
+def _fixes(sigma: dict[int, int], meaning: GenRel) -> bool:
+    """Whether renaming locations by `sigma` maps the unary `meaning` to itself."""
+    cells = {g[0].cells for g in meaning.generators}
+    return cells == {
+        tuple(sorted((sigma.get(loc, loc), v) for loc, v in c)) for c in cells
+    }
+
+
+def _symmetry_tables(
+    space: _CandidateSpace,
+    sides: tuple[Assertion, ...],
+    eta_key: tuple[tuple[str, int], ...],
+    dom: ValueDomain,
+) -> list:
+    """The index tables of the symmetries that fix every primitive in `sides`."""
+    meanings = {m for phi in sides for m in _primitive_meanings(phi, eta_key, dom)}
+    return [
+        table
+        for sigma, tables in space.symmetries
+        if all(_fixes(sigma, m) for m in meanings)
+        for table in tables
+    ]
+
+
+def _orbit_least(
+    sizes: tuple[int, ...], counts: list[int], tables: list
+) -> Iterable[tuple[int, ...]]:
+    """The tuples of product(*map(range, counts)), in order, that no table
+    maps to a lexicographically smaller tuple.
+
+    `active` holds the tables that fix the prefix built so far; a table that
+    maps the next index lower rules out every extension of the prefix, one
+    that maps it higher can no longer make the tuple smaller.
+    """
+
+    def extend(prefix: tuple[int, ...], active: list) -> Iterable[tuple[int, ...]]:
+        depth = len(prefix)
+        if depth == len(sizes):
+            yield prefix
+            return
+        size = sizes[depth]
+        for i in range(counts[depth]):
+            fixing = []
+            for table in active:
+                image = table[size][i]
+                if image < i:
+                    break
+                if image == i:
+                    fixing.append(table)
+            else:
+                yield from extend(prefix + (i,), fixing)
+
+    return extend((), tables)
+
+
 def find_counter_env(
     lhs: Assertion,
     rhs: Assertion,
@@ -312,6 +445,17 @@ def find_counter_env(
     returns the first refutation found, or None when the budget space is
     exhausted.  None is not a validity proof: it only rules out refutations
     within the budget and value domain.
+
+    Environments are visited once per symmetry class.  The symmetries are
+    the pairs of a permutation of the locations 1..max_loc that maps the
+    unary meaning of every primitive of lhs and rhs to itself and any
+    permutation of the n coordinates.  Each maps every candidate list to
+    itself and commutes with interpretation, so an environment refutes iff
+    its renamings do.  An environment is skipped when a symmetry maps its
+    tuple of candidate indices to a lexicographically smaller one; the first
+    refutation in visiting order is the least of its class, so the returned
+    environment and witness are those of the full enumeration, and None
+    still means the whole budget space holds no refutation.
     """
     variables = sorted(assertion_vars(lhs) | assertion_vars(rhs))
     dom = budget.domain()
@@ -324,13 +468,16 @@ def find_counter_env(
             return CounterexampleEnv(AssertEnv(n, {}), witness)
         return None
 
-    by_size = candidate_relations(n, budget)
+    space = _candidate_space(n, budget)
+    tables = _symmetry_tables(space, (lhs, rhs), eta_key, dom)
+    by_size = space.by_size
     max_size = len(by_size) - 1
     for sizes in _size_vectors(len(variables), max_size):
         pools = [by_size[s] for s in sizes]
         if any(not pool for pool in pools):
             continue
-        for combo in product(*pools):
+        for indices in _orbit_least(sizes, [len(p) for p in pools], tables):
+            combo = [pool[i] for pool, i in zip(pools, indices)]
             rho = AssertEnv(n, dict(zip(variables, combo)))
             lhs_rel = _interpret(lhs, eta_key, rho, n, dom)
             rhs_rel = _interpret(rhs, eta_key, rho, n, dom)
@@ -348,8 +495,12 @@ def _first_escapee(lhs_rel: GenRel, rhs_rel: GenRel) -> HeapTuple | None:
 
 
 def env_candidate_count(num_vars: int, n: int, budget: SearchBudget) -> int:
-    """Size of the environment space find_counter_env explores."""
-    by_size = candidate_relations(n, budget)
+    """Size of the environment space find_counter_env covers.
+
+    This counts every environment, not one per symmetry class: the search
+    rules out a refutation in each environment it skips.
+    """
+    by_size = _candidate_space(n, budget).by_size
     per_var = sum(len(group) for group in by_size)
     return per_var**num_vars
 

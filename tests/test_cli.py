@@ -53,6 +53,26 @@ def test_search_subcommand(capsys):
     assert code == 0 and "NONE" in out
 
 
+def test_search_names_its_bound(capsys):
+    fan = str(SCENARIOS / "fan.imp")
+    code, out = run(capsys, "--arity", "1", "--vals", "0,1", "--locs", "2", "search", fan)
+    assert code == 0
+    assert out.strip() == (
+        "NONE within budget (locs<=2, vals=[0, 1], gens<=2, heap size<=1) "
+        "at arity 1 (not a validity proof)"
+    )
+    bound = {"locs": 2, "vals": [0, 1], "gens": 3, "heap_size": 2}
+    for arity, counterexample in ((1, False), (2, True)):
+        code, out = run(
+            capsys, "--format", "structured", "--arity", str(arity), "--locs", "2",
+            "--vals", "0,1", "--gens", "3", "--heap-size", "2", "search", fan,
+        )
+        record = json.loads(out)
+        assert code == int(counterexample)
+        assert record["budget"] == bound
+        assert ("rho" in record) == counterexample
+
+
 def test_pc_subcommand(capsys):
     code, out = run(capsys, "pc", str(SCENARIOS / "fan.imp"))
     assert code == 1 and "fails" in out

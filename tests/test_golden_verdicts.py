@@ -2,7 +2,8 @@
 
 The texts were recorded before the 2-validity and proof-gate caching work,
 so any change to a violation's wording, to which input pair is reported, or
-to the number of input/frame pairs checked shows up here.
+to the number of input/frame pairs checked shows up here.  The counter's
+-2..2 text later gained the note on output values outside the domain.
 """
 
 import pytest
@@ -35,7 +36,9 @@ GOLDEN = [
         ACCEPTED,
         "context triple 'inc' does not preserve the coupling: inc: inputs "
         "([1|->2], [1|->2]) with frame ([], []) produced ([1|->3], [1|->3]): "
-        "outputs leave the postcondition with this frame",
+        "outputs leave the postcondition with this frame; output value 3 lies "
+        "outside the value domain {-2, -1, 0, 1, 2}, so the violation may come "
+        "from the bound",
     ),
     (
         "goodbad_good.scn",

@@ -304,3 +304,21 @@ def test_check_proof_reflexive_gate_still_evaluates():
     a = parse("x|->_")
     with pytest.raises(UnboundVariable):
         check_proof((), Consequence(a, SkipAxiom(a), a))
+
+
+def test_violation_notes_output_values_outside_the_domain():
+    dom = ValueDomain((0, 1), (1, 2))
+    base = "outputs leave the postcondition with this frame"
+    frame = (EMPTY_HEAP, EMPTY_HEAP)
+    inputs = (heap((1, 0)), heap((1, 1)))
+
+    def note(outputs, reason=base):
+        violation = hoare.Violation("op", inputs, frame, outputs, reason)
+        return hoare._note_values_outside(violation, dom).reason
+
+    assert note((heap((1, 3), (2, 1)), heap((1, -1)))) == (
+        base + "; output values -1, 3 lie outside the value domain {0, 1}, "
+        "so the violation may come from the bound"
+    )
+    assert note((heap((1, 1)), heap((2, 0)))) == base
+    assert note((ERR, heap((1, 5))), "execution faulted") == "execution faulted"

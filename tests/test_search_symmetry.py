@@ -1,0 +1,149 @@
+"""find_counter_env against the plain enumeration it replaced.
+
+The search skips environments that a location or coordinate permutation maps
+to an earlier one.  `naive_find_counter_env` is the loop without that skip:
+it tries every environment of every size group in order.  Both must return
+the same environment and witness, or both None.
+"""
+
+import random
+from itertools import product
+from math import factorial
+
+import pytest
+
+from conftest import AVARS, SCENARIO_DIR
+from seplift.catalog import CURATED_SUITE
+from seplift.normalize import implication_assertions
+from seplift.semantics import (
+    CounterexampleEnv,
+    SearchBudget,
+    _candidate_space,
+    _first_escapee,
+    _freeze_eta,
+    _interpret,
+    _size_vectors,
+    _symmetry_tables,
+    candidate_relations,
+    find_counter_env,
+)
+from seplift.syntax import AssertEnv, assertion_vars, parse, parse_assertion_file
+
+
+def naive_find_counter_env(lhs, rhs, eta, n, budget=SearchBudget()):
+    variables = sorted(assertion_vars(lhs) | assertion_vars(rhs))
+    dom = budget.domain()
+    eta_key = _freeze_eta(eta)
+    by_size = candidate_relations(n, budget)
+    for sizes in _size_vectors(len(variables), len(by_size) - 1):
+        for combo in product(*(by_size[s] for s in sizes)):
+            rho = AssertEnv(n, dict(zip(variables, combo)))
+            witness = _first_escapee(
+                _interpret(lhs, eta_key, rho, n, dom),
+                _interpret(rhs, eta_key, rho, n, dom),
+            )
+            if witness is not None:
+                return CounterexampleEnv(rho, witness)
+    return None
+
+
+def assert_same_search(lhs, rhs, eta, n, budget=SearchBudget()):
+    got = find_counter_env(lhs, rhs, eta, n, budget)
+    want = naive_find_counter_env(lhs, rhs, eta, n, budget)
+    assert got == want, (lhs, rhs, eta, n, budget)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("entry", CURATED_SUITE, ids=lambda e: e.name)
+def test_curated_entries_match_naive_search(entry, n):
+    lhs, rhs = implication_assertions(entry.form)
+    assert_same_search(lhs, rhs, {}, n)
+
+
+@pytest.mark.parametrize(
+    "name, arities",
+    [("bridge", (1, 2)), ("fan", (1, 2)), ("good", (1, 2)), ("scaled", (1, 2, 3))],
+)
+def test_scenario_implications_match_naive_search(name, arities):
+    doc = parse_assertion_file((SCENARIO_DIR / f"{name}.imp").read_text())
+    lhs, rhs = doc.implications[0]
+    for n in arities:
+        assert_same_search(lhs, rhs, doc.eta, n)
+
+
+# The first refutation of most pairs below, at some budget, is an environment
+# that a location permutation moving a pinned location maps to an earlier,
+# non-refuting one, so a search that trusts such a permutation answers
+# otherwise.  Locations are pinned by literals, by computed addresses
+# (`x |-> _` and `x+1 |-> _` under x=1) and under a quantifier; `-` and the
+# comparisons pin nothing.  With every location pinned, as by `EX x. x |-> _`
+# over values 0..3, only coordinate permutations are left.
+PINNED = [
+    ("a /\\ - |= a * - \\/ 1|->_", {}, (0,)),
+    ("a /\\ 2|->_ |= a * 2|->_", {}, (0,)),
+    ("a * b /\\ 3|->_ |= a * 3|->_ \\/ b * 3|->_", {}, (0,)),
+    ("2|->_ /\\ a * b |= 2|->_ * a \\/ 2|->_ * b", {}, (0,)),
+    ("a /\\ x+1 |-> _ |= a * (x+1 |-> _)", {"x": 1}, (0,)),
+    ("a /\\ - /\\ x = 1 |= a * - \\/ x |-> _", {"x": 1}, (0,)),
+    ("a /\\ (EX x. x|->_ /\\ x = 2) |= a * (EX x. x|->_ /\\ x = 2)", {}, (0, 1, 2, 3)),
+    ("a /\\ (EX x. x |-> _) |= a * (EX x. x |-> _)", {}, (0, 1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("text, eta, values", PINNED, ids=[p[0] for p in PINNED])
+def test_pinned_cases_match_naive_search(text, eta, values):
+    lhs, rhs = (parse(side, AVARS) for side in text.split("|="))
+    for max_loc, n in product((1, 2, 3), (1, 2)):
+        assert_same_search(lhs, rhs, eta, n, SearchBudget(max_loc, values))
+
+
+_ATOMS = [
+    "a", "b", "a", "b", "true", "-", "1|->_", "2|->_", "3|->0",
+    "x|->_", "x+1|->_", "x = 1", "x < 2", "(EX y. y|->_)",
+]
+
+
+def _random_assertion(rng: random.Random, leaves: int) -> str:
+    if leaves == 1:
+        return rng.choice(_ATOMS)
+    left = rng.randint(1, leaves - 1)
+    op = rng.choice(["*", "/\\", "\\/"])
+    return (
+        f"({_random_assertion(rng, left)} {op} "
+        f"{_random_assertion(rng, leaves - left)})"
+    )
+
+
+def test_seeded_formulas_match_naive_search():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        lhs = parse(_random_assertion(rng, rng.randint(1, 4)), AVARS)
+        rhs = parse(_random_assertion(rng, rng.randint(1, 4)), AVARS)
+        eta = {"x": rng.choice([1, 2])}
+        n = rng.choice([1, 1, 2])
+        max_loc = rng.randint(1, 3) if n == 1 else rng.randint(1, 2)
+        assert_same_search(lhs, rhs, eta, n, SearchBudget(max_loc))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_formula_naming_every_location_keeps_only_coordinate_symmetries(n):
+    budget = SearchBudget(max_loc=3)
+    space = _candidate_space(n, budget)
+    dom = budget.domain()
+    named = (parse("1|->_ * 2|->_ /\\ a", AVARS), parse("a * (x |-> _)", AVARS))
+    free = (parse("- /\\ a", AVARS), parse("a * true", AVARS))
+    assert len(_symmetry_tables(space, named, (("x", 3),), dom)) == factorial(n) - 1
+    assert len(_symmetry_tables(space, free, (), dom)) == factorial(n) * 6 - 1
+
+
+def test_candidate_space_cache_is_bounded_and_reused():
+    assert 0 < _candidate_space.cache_info().maxsize <= 8
+    budget = SearchBudget(max_loc=2, values=(7,))
+    lhs, rhs = parse("a", AVARS), parse("a * a", AVARS)
+    before = _candidate_space.cache_info()
+    find_counter_env(lhs, rhs, {}, 2, budget)
+    find_counter_env(rhs, lhs, {}, 2, budget)
+    after = _candidate_space.cache_info()
+    assert after.misses == before.misses + 1
+    assert after.hits == before.hits + 1

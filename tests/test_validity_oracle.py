@@ -146,7 +146,8 @@ def test_matches_naive_reference(monkeypatch, file, values, broken):
 
 
 def test_reference_cases_cover_every_outcome(monkeypatch):
-    """The cases include a pass, a context-triple failure, a fault and a client failure."""
+    """The cases include a pass, a context-triple failure, a fault, a client
+    failure and an output value outside the domain."""
     monkeypatch.setattr(hoare, "_check_binary_triple", naive_check_binary_triple)
     outcomes = set()
     for file, values, broken in CASES:
@@ -157,13 +158,17 @@ def test_reference_cases_cover_every_outcome(monkeypatch):
             outcomes.add("ok")
         else:
             outcomes.add("triple" if verdict.failed_triple else "client")
-            outcomes.add(verdict.violation.reason)
+            reason, _, note = verdict.violation.reason.partition("; ")
+            outcomes.add(reason)
+            if "outside the value domain" in note:
+                outcomes.add("output outside the value domain")
     assert outcomes == {
         "ok",
         "triple",
         "client",
         "execution faulted",
         "outputs leave the postcondition with this frame",
+        "output outside the value domain",
     }
 
 
