@@ -363,6 +363,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError, OSError, KeyError, UnboundVariable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
+    except RecursionError:
+        print("error: assertion nested too deeply", file=sys.stderr)
+        return _EXIT_INPUT
 
 
 if __name__ == "__main__":

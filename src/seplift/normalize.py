@@ -16,6 +16,11 @@ equivalent to the original at arities 1 and 2: the right-hand side is put in
 conjunctive normal form, the family is the product of left disjuncts and
 right CNF clauses, and right-hand clauses mentioning variables absent from
 the left are dropped (an empty remainder means the right-hand side is false).
+
+Whether a subtree is variable-free is decided once per node: ``to_simple``
+first marks, in one pass, the nodes that hold an assertion variable, and the
+rewrite looks each node up in that set instead of walking the node's subtree
+again.
 """
 
 from __future__ import annotations
@@ -27,10 +32,14 @@ from .syntax import (
     And,
     Assertion,
     AVar,
+    BoolAtom,
     Exists,
     FalseLit,
     Forall,
+    NonEmptyHeap,
     Or,
+    PointsTo,
+    PointsToAny,
     Star,
     TrueLit,
     assertion_vars,
@@ -117,7 +126,8 @@ class ImplicationForm:
 # --- rewriting to simple form ----------------------------------------------
 
 # During normalization a clause is a (base factors, avars) pair; the base
-# factors are folded into a single starred assertion at the end.
+# factors are folded into a single starred assertion at the end, and `Clause`
+# sorts the avars.
 _Builder = tuple[tuple[Assertion, ...], tuple[str, ...]]
 
 
@@ -125,9 +135,14 @@ class _Blowup(Exception):
     pass
 
 
+_VARIABLE_FREE = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom, TrueLit, FalseLit)
+
+
 def to_simple(phi: Assertion) -> SimpleAssertion | None:
+    held: set[int] = set()
+    _mark_var_holders(phi, held)
     try:
-        dnf = _norm(phi)
+        dnf = _norm(phi, held)
     except _Blowup:
         return None
     if dnf is None:
@@ -139,35 +154,59 @@ def to_simple(phi: Assertion) -> SimpleAssertion | None:
     return SimpleAssertion(disjuncts)
 
 
-def _norm(a: Assertion) -> list[list[_Builder]] | None:
-    """DNF of `a` as disjuncts -> conjuncts -> builder clauses, or None."""
-    if isinstance(a, FalseLit):
-        return []
+def _mark_var_holders(a: Assertion, held: set[int]) -> bool:
+    """Whether `a` holds an assertion variable; adds to `held` the id of
+    every connective or quantifier node under `a` that holds one."""
+    if isinstance(a, AVar):
+        return True
+    if isinstance(a, (Star, And, Or)):
+        left = _mark_var_holders(a.left, held)
+        right = _mark_var_holders(a.right, held)
+        found = left or right
+    elif isinstance(a, (Forall, Exists)):
+        found = _mark_var_holders(a.body, held)
+    elif isinstance(a, _VARIABLE_FREE):
+        return False
+    else:
+        raise TypeError(f"not an assertion: {a!r}")
+    if found:
+        held.add(id(a))
+    return found
+
+
+def _norm(a: Assertion, held: set[int]) -> list[list[_Builder]] | None:
+    """DNF of `a` as disjuncts -> conjuncts -> builder clauses, or None.
+
+    `held` holds the ids of the connective and quantifier nodes that
+    contain an assertion variable (see `_mark_var_holders`).
+    """
     if isinstance(a, AVar):
         return [[((), (a.name,))]]
     if isinstance(a, Or):
         # Disjunctions split even when variable-free, so that e.g. a
         # disjunctive operand of * gets distributed.
-        left = _norm(a.left)
-        right = _norm(a.right)
+        left = _norm(a.left, held)
+        right = _norm(a.right, held)
         if left is None or right is None:
             return None
         _check_size(len(left) + len(right))
         return left + right
-    if not assertion_vars(a):
+    if isinstance(a, FalseLit):
+        return []
+    if id(a) not in held:
         if isinstance(a, TrueLit):
             return [[((), ())]]
         return [[((a,), ())]]
     if isinstance(a, And):
-        left = _norm(a.left)
-        right = _norm(a.right)
+        left = _norm(a.left, held)
+        right = _norm(a.right, held)
         if left is None or right is None:
             return None
         _check_size(len(left) * len(right))
         return [lc + rc for lc in left for rc in right]
     if isinstance(a, Star):
-        left = _norm(a.left)
-        right = _norm(a.right)
+        left = _norm(a.left, held)
+        right = _norm(a.right, held)
         if left is None or right is None:
             return None
         # * distributes over \/ but not over /\: each side must contribute a
@@ -181,10 +220,10 @@ def _norm(a: Assertion) -> list[list[_Builder]] | None:
                 if len(rc) != 1:
                     return None
                 (lb, lv), (rb, rv) = lc[0], rc[0]
-                out.append([(lb + rb, tuple(sorted(lv + rv)))])
+                out.append([(lb + rb, lv + rv)])
         return out
     if isinstance(a, Exists):
-        body = _norm(a.body)
+        body = _norm(a.body, held)
         if body is None or len(body) != 1 or len(body[0]) != 1:
             # Pulling EX out of /\ or \/ is not among the permitted laws.
             return None

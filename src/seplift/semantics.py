@@ -30,7 +30,7 @@ by a variable-free disjunct containing the whole heap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Mapping
 
@@ -317,39 +317,55 @@ class CounterexampleEnv:
     witness: HeapTuple
 
 
-@dataclass(frozen=True)
 class _CandidateSpace:
     """The candidate relations of one (n, budget) and their symmetries.
 
-    `by_size` is `candidate_relations(n, budget)`.  `symmetries` pairs each
-    permutation of the locations 1..max_loc with one index table per
-    permutation of the n coordinates: table[k][i] is the position in
-    by_size[k] of the renamed by_size[k][i].  The identity is left out.
+    `by_size` is `candidate_relations(n, budget)`.  `location_perms` lists
+    the permutations of the locations 1..max_loc.  `tables(sigma)` gives one
+    index table per permutation of the n coordinates, for the location
+    permutation `sigma`: table[k][i] is the position in by_size[k] of the
+    renamed by_size[k][i].  The identity is left out.  A permutation's
+    tables are built the first time a search keeps it.
     """
 
-    by_size: list[list[GenRel]]
-    symmetries: tuple[tuple[dict[int, int], tuple], ...]
+    def __init__(self, n: int, budget: SearchBudget):
+        self.n = n
+        self.budget = budget
+        self.by_size = candidate_relations(n, budget)
+        locs = range(1, budget.max_loc + 1)
+        self.location_perms = tuple(
+            dict(zip(locs, images)) for images in permutations(locs)
+        )
+        self._tables: dict[tuple[tuple[int, int], ...], tuple] = {}
 
+    def tables(self, sigma: dict[int, int]) -> tuple:
+        key = tuple(sigma.items())
+        if key not in self._tables:
+            self._tables[key] = self._build_tables(sigma)
+        return self._tables[key]
 
-@lru_cache(maxsize=8)
-def _candidate_space(n: int, budget: SearchBudget) -> _CandidateSpace:
-    by_size = candidate_relations(n, budget)
-    heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
-    tuples = _bounded_tuples(n, budget)
-    tuple_pos = {t: i for i, t in enumerate(tuples)}
-    combos = [
-        [tuple(sorted(tuple_pos[t] for t in rel.generators)) for rel in group]
-        for group in by_size
-    ]
-    combo_pos = [{c: i for i, c in enumerate(group)} for group in combos]
-    locs = range(1, budget.max_loc + 1)
-    symmetries = []
-    for images in permutations(locs):
-        sigma = dict(zip(locs, images))
+    @cached_property
+    def _positions(self):
+        """The bounded tuples, each tuple's index, and each relation's
+        generators as a sorted tuple of indices, with its position."""
+        tuples = _bounded_tuples(self.n, self.budget)
+        tuple_pos = {t: i for i, t in enumerate(tuples)}
+        combos = [
+            [tuple(sorted(tuple_pos[t] for t in rel.generators)) for rel in group]
+            for group in self.by_size
+        ]
+        combo_pos = [{c: i for i, c in enumerate(group)} for group in combos]
+        return tuples, tuple_pos, combos, combo_pos
+
+    def _build_tables(self, sigma: dict[int, int]) -> tuple:
+        tuples, tuple_pos, combos, combo_pos = self._positions
+        budget = self.budget
+        heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
         renamed = {h: Heap({sigma[loc]: v for loc, v in h.cells}) for h in heaps}
+        identity = all(loc == image for loc, image in sigma.items())
         tables = []
-        for coords in permutations(range(n)):
-            if images == tuple(locs) and coords == tuple(range(n)):
+        for coords in permutations(range(self.n)):
+            if identity and coords == tuple(range(self.n)):
                 continue
             tuple_map = [
                 tuple_pos[tuple(renamed[t[c]] for c in coords)] for t in tuples
@@ -358,8 +374,12 @@ def _candidate_space(n: int, budget: SearchBudget) -> _CandidateSpace:
                 tuple(pos[tuple(sorted(tuple_map[t] for t in c))] for c in group)
                 for group, pos in zip(combos, combo_pos)
             ))
-        symmetries.append((sigma, tuple(tables)))
-    return _CandidateSpace(by_size, tuple(symmetries))
+        return tuple(tables)
+
+
+@lru_cache(maxsize=8)
+def _candidate_space(n: int, budget: SearchBudget) -> _CandidateSpace:
+    return _CandidateSpace(n, budget)
 
 
 def _primitive_meanings(
@@ -394,9 +414,9 @@ def _symmetry_tables(
     meanings = {m for phi in sides for m in _primitive_meanings(phi, eta_key, dom)}
     return [
         table
-        for sigma, tables in space.symmetries
+        for sigma in space.location_perms
         if all(_fixes(sigma, m) for m in meanings)
-        for table in tables
+        for table in space.tables(sigma)
     ]
 
 

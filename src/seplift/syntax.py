@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .relations import GenRel
 
@@ -158,6 +158,9 @@ class NonEmptyHeap(Assertion):
 
 
 _CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# Tokens after a term that keep it inside an expression or make it one side
+# of a points-to or comparison atom.
+_EXPR_FOLLOW = frozenset(("+", "-", "|->", *_CMP_OPS))
 _CMP_NEGATION = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
 
@@ -292,13 +295,16 @@ class ParseError(ValueError):
 
 
 # The token set also covers the command language (":=", brackets, braces,
-# ";"), so the command parser can share this tokenizer.
+# ";"), so the command parser can share this tokenizer.  One `finditer` pass
+# reads the whole text: the search itself skips whitespace, and the final
+# catch-all group `bad` matches any other character, so the first one the
+# token groups do not cover raises "unexpected character" at its offset.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<num>\d+)
+    (?P<num>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
   | (?P<op>\|->|\|=|:=|/\\|\\/|<=|>=|!=|[-+*().,_=<>\[\]{};])
+  | (?P<bad>\S)
     """,
     re.VERBOSE,
 )
@@ -306,8 +312,7 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"true", "false", "ALL", "EX"}
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num', 'ident', 'op', 'eof'
     text: str
     pos: int
@@ -315,15 +320,14 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError("unexpected character", pos, text)
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+    append = tokens.append
+    new = tuple.__new__  # skips the NamedTuple constructor's argument handling
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError("unexpected character", m.start(), text)
+        append(new(_Token, (kind, m[0], m.start())))
+    append(_Token("eof", "", len(text)))
     return tokens
 
 
@@ -358,21 +362,21 @@ class _Parser:
 
     def or_level(self) -> Assertion:
         node = self.and_level()
-        while self.peek().text == "\\/":
+        while self.tokens[self.index].text == "\\/":
             self.advance()
             node = Or(node, self.and_level())
         return node
 
     def and_level(self) -> Assertion:
         node = self.star_level()
-        while self.peek().text == "/\\":
+        while self.tokens[self.index].text == "/\\":
             self.advance()
             node = And(node, self.star_level())
         return node
 
     def star_level(self) -> Assertion:
         node = self.atom()
-        while self.peek().text == "*":
+        while self.tokens[self.index].text == "*":
             self.advance()
             node = Star(node, self.atom())
         return node
@@ -416,6 +420,15 @@ class _Parser:
             self.expect(")")
             return node
         if tok.kind in ("num", "ident") or tok.text == "-":
+            if (
+                tok.kind == "ident"
+                and tok.text in self.avars
+                and self.tokens[self.index + 1].text not in _EXPR_FOLLOW
+            ):
+                # The expression path would read this as VarRef and then
+                # return the same AVar.
+                self.index += 1
+                return AVar(tok.text)
             expr = self.expr()
             follow = self.peek().text
             if follow == "|->" or follow in _CMP_OPS:

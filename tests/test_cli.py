@@ -125,6 +125,16 @@ def test_input_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+def test_over_deep_assertion_exits_two(capsys, tmp_path):
+    source = tmp_path / "deep.imp"
+    source.write_text("avars: a\n" + " * ".join(["a"] * 1200) + " |= a\n")
+    code = main(["lift", str(source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: assertion nested too deeply\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("member", ["1", "-1"])
 def test_graph_member_out_of_range_exits_two(capsys, member):
     # fan.imp reduces to a one-member family, so only index 0 exists

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import AVARS, assertions, gen_rels
+from seplift import normalize
 from seplift.catalog import make_form
 from seplift.normalize import (
     MAX_CLAUSES,
@@ -121,6 +122,24 @@ def test_reduce_false_rhs():
     assert form.disjuncts == ()
     lhs_back, rhs_back = implication_assertions(form)
     assert rhs_back == FalseLit()
+
+
+def test_to_simple_asks_variable_freeness_once_per_clause(monkeypatch):
+    # a left-nested 300-factor chain: asking assertion_vars at every node
+    # would make 300 calls, each walking the whole subtree below it
+    phi = parse(" * ".join(["a"] * 300 + ["1|->_"]), AVARS)
+    expected = [Clause(parse("1|->_"), ("a",) * 300)]
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return assertion_vars(a)
+
+    monkeypatch.setattr(normalize, "assertion_vars", counting)
+    simple = to_simple(phi)
+    clauses = [c for conj in simple.disjuncts for c in conj]
+    assert clauses == expected
+    assert len(calls) <= len(clauses)
 
 
 def test_to_simple_gives_up_past_the_clause_bound():

@@ -25,6 +25,7 @@ from seplift.semantics import (
     _size_vectors,
     _symmetry_tables,
     candidate_relations,
+    env_candidate_count,
     find_counter_env,
 )
 from seplift.syntax import AssertEnv, assertion_vars, parse, parse_assertion_file
@@ -147,3 +148,16 @@ def test_candidate_space_cache_is_bounded_and_reused():
     after = _candidate_space.cache_info()
     assert after.misses == before.misses + 1
     assert after.hits == before.hits + 1
+
+
+def test_tables_are_built_only_for_kept_location_permutations():
+    # a budget no other test uses, so the cached space starts without tables
+    budget = SearchBudget(max_loc=3, values=(5,), max_generators=1)
+    identity = {1: 1, 2: 2, 3: 3}
+    assert env_candidate_count(2, 2, budget) > 0
+    space = _candidate_space(2, budget)
+    assert space._tables == {}
+    lhs = parse("1|->_ * 2|->_ * 3|->_ /\\ a", AVARS)
+    find_counter_env(lhs, parse("a * true", AVARS), {}, 2, budget)
+    assert list(space._tables) == [tuple(identity.items())]
+    assert len(space.tables(identity)) == factorial(2) - 1
