@@ -267,6 +267,7 @@ def _cmd_validity(args, out: _Output) -> int:
 
     with open(args.file, encoding="utf-8") as fh:
         scenario = parse_scenario(fh.read())
+    dom = _domain(args)
     verdict = two_validity_test(
         scenario.gamma,
         scenario.modules(),
@@ -276,15 +277,20 @@ def _cmd_validity(args, out: _Output) -> int:
         scenario.client,
         scenario.post,
         _budget(args),
-        _domain(args),
+        dom,
     )
+    bound = {"vals": list(dom.values), "locs": list(dom.locations)}
     record = {
         "ok": verdict.ok,
         "failed_triple": verdict.failed_triple,
         "violation": verdict.violation.describe() if verdict.violation else None,
         "pairs_checked": verdict.pairs_checked,
+        "dom": bound,
     }
-    out.emit(record, verdict.describe())
+    out.emit(
+        record,
+        f"{verdict.describe()} [domain: vals={bound['vals']}, locs={bound['locs']}]",
+    )
     return _EXIT_OK if verdict.ok else _EXIT_NEGATIVE
 
 

@@ -15,15 +15,22 @@ repeated implication is gated once: the consequence steps that annotated
 proofs add for every command repeat ``φ |= φ`` many times.
 
 ``two_validity_test`` checks the binary reading of triples: one client, two
-module implementations, assertion variables interpreted by coupling
-relations.  Frames quantify over principal relations only; a violation under
-an arbitrary upward-closed frame is witnessed by the principal frame of its
-residue pair, so nothing is lost at a given heap bound.  Inputs whose cell
-values leave the budget are skipped; outputs are judged against the full
-interpretation domain, so couplings should be encoded over a domain closed
-under one operation step.  An error outcome on either side is a violation.
-Implementations are treated as deterministic heap transformers, so within
-one triple check each implementation runs once per distinct input heap.
+module implementations built by ``build_modules``, assertion variables
+interpreted by coupling relations.  It runs each precondition generator pair
+once, with no frame, and the answer is exact up to the value domain.
+Commands are local actions in the sense of Calcagno, O'Hearn and Yang,
+"Local Action and Abstract Separation Logic" (LICS 2007): they never
+allocate or free, an access to an absent cell faults, and a branch reads
+only normal variables.  So a run on ``g·f`` faults only if the run on ``g``
+does (safety monotonicity), and otherwise gives the run on ``g`` composed
+with ``f`` (the frame property).  A post generator that the output
+``out·f`` extends and that is disjoint from ``f`` lies inside ``out``, so a
+violation exists under some frame exactly when one exists under the empty
+frame.  Inputs whose cell values leave the budget are skipped; outputs are
+judged against the full interpretation domain, so couplings should be
+encoded over a domain closed under one operation step.  An error outcome on
+either side is a violation.  Within one triple check each implementation
+runs once per distinct input heap.
 """
 
 from __future__ import annotations
@@ -31,14 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from .heap import Heap, compose, disjoint, extends
+from .heap import EMPTY_HEAP, Heap
 from .lifting import chk
-from .relations import GenRel
+from .relations import member
 from .semantics import (
     DEFAULT_BUDGET,
     SearchBudget,
     ValueDomain,
-    bounded_heaps,
     find_counter_env,
     interpret,
 )
@@ -69,6 +75,7 @@ __all__ = [
     "ERR",
     "exec_command",
     "build_modules",
+    "CommandOp",
     "command_vars",
     "Triple",
     "Derivation",
@@ -186,15 +193,26 @@ def _exec(c, eta, modules, h):
     raise TypeError(f"not a command: {c!r}")
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class CommandOp:
+    """A module operation: a command body run with no module context.
+
+    Commands are local actions, and ``two_validity_test`` relies on that, so
+    it accepts only operations of this type.
+    """
+
+    command: Command
+    eta: Mapping[str, int] | None = None
+
+    def __call__(self, h: Heap) -> "Heap | _ErrType":
+        return exec_command(self.command, self.eta, {}, h)
+
+
 def build_modules(
     commands: Mapping[str, Command], eta: Mapping[str, int] | None = None
-) -> dict[str, Callable[[Heap], "Heap | _ErrType"]]:
+) -> dict[str, CommandOp]:
     """Heap transformers from operation bodies, run with no module context."""
-
-    def make(cmd: Command):
-        return lambda h: exec_command(cmd, eta, {}, h)
-
-    return {name: make(cmd) for name, cmd in commands.items()}
+    return {name: CommandOp(cmd, eta) for name, cmd in commands.items()}
 
 
 def command_vars(c: Command) -> frozenset[str]:
@@ -445,7 +463,7 @@ def _check_implication(lhs, rhs, budget, eta, path, gated):
 class Violation:
     location: str  # a module operation name, or "client"
     inputs: tuple[Heap, Heap]
-    frame: tuple[Heap, Heap]
+    frame: tuple[Heap, Heap]  # always the empty pair: the empty frame decides
     outputs: tuple  # Heap or ERR on each side
     reason: str
 
@@ -460,6 +478,15 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidityVerdict:
+    """The outcome of ``two_validity_test``.
+
+    A pass is exact up to the value domain: frames need no search, because
+    commands are local actions (see the module docstring), so the only bound
+    is the set of values and locations the inputs range over and the
+    relations are encoded in.  ``pairs_checked`` counts the precondition
+    generator pairs run, up to and including a violating one.
+    """
+
     ok: bool
     violation: Violation | None = None
     failed_triple: str | None = None  # which context triple broke, if any
@@ -470,7 +497,7 @@ class ValidityVerdict:
 
     def describe(self) -> str:
         if self.ok:
-            return f"NoViolation (bounded; {self.pairs_checked} input/frame pairs)"
+            return f"NoViolation (bounded; {self.pairs_checked} input pairs)"
         prefix = (
             f"context triple {self.failed_triple!r} does not preserve the coupling"
             if self.failed_triple
@@ -494,16 +521,25 @@ def two_validity_test(
 
     First every context triple is checked (the modules must preserve the
     couplings), then the client triple.  Inputs are the generator pairs of
-    the precondition whose cells stay within the budget, extended with every
-    pair of principal frames within the budget; outputs must land in the
-    postcondition starred with the same frame.  The implementations must be
-    deterministic heap transformers: each runs once per distinct input heap
-    of a triple check, and the output is reused for every pair sharing it.
+    the precondition whose cells stay within the budget, each run once with
+    no frame; a fault on either side, or outputs outside the postcondition,
+    is a violation.  Because commands are local actions (Calcagno, O'Hearn
+    and Yang, LICS 2007), a framed input pair violates the triple exactly
+    when its unframed generator pair does, so the answer is exact up to the
+    value domain.  That argument needs command-built operations: every
+    operation must come from ``build_modules``, or ``TypeError`` is raised.
     """
     if rho.arity != 2:
         raise ValueError("two_validity_test needs a binary environment")
-    dom = dom or budget.domain()
     impl1, impl2 = impls
+    for impl in impls:
+        for name, op in impl.items():
+            if not isinstance(op, CommandOp):
+                raise TypeError(
+                    f"module operation {name!r} is not built by build_modules, "
+                    "so it need not be a local action"
+                )
+    dom = dom or budget.domain()
     total = 0
     for triple in gamma:
         if triple.name not in impl1 or triple.name not in impl2:
@@ -559,67 +595,34 @@ def _within_budget(h: Heap, budget: SearchBudget) -> bool:
     )
 
 
+_NO_FRAME = (EMPTY_HEAP, EMPTY_HEAP)
+
+
 def _check_binary_triple(
     location, pre, run1, run2, post, rho, eta, budget, dom
 ):
+    """Run each in-budget precondition generator pair once; the first
+    violation and the number of pairs run."""
     pre_rel = interpret(pre, eta, rho, 2, dom)
     post_rel = interpret(post, eta, rho, 2, dom)
-    frames = bounded_heaps(budget.max_loc, budget.values)
     outs1: dict[Heap, Heap | _ErrType] = {}
     outs2: dict[Heap, Heap | _ErrType] = {}
     checked = 0
     for g1, g2 in pre_rel.sorted_generators():
         if not (_within_budget(g1, budget) and _within_budget(g2, budget)):
             continue
-        inputs2 = [(g0, compose(g2, g0)) for g0 in frames if disjoint(g2, g0)]
-        for f0 in frames:
-            if not disjoint(g1, f0):
-                continue
-            f = compose(g1, f0)
-            out1 = outs1.get(f)
-            if out1 is None:
-                out1 = outs1[f] = run1(f)
-            for g0, g in inputs2:
-                checked += 1
-                out2 = outs2.get(g)
-                if out2 is None:
-                    out2 = outs2[g] = run2(g)
-                if out1 is ERR or out2 is ERR:
-                    return (
-                        Violation(
-                            location, (f, g), (f0, g0), (out1, out2),
-                            "execution faulted",
-                        ),
-                        checked,
-                    )
-                if not _in_post_with_frame(post_rel, (f0, g0), (out1, out2)):
-                    return (
-                        Violation(
-                            location, (f, g), (f0, g0), (out1, out2),
-                            "outputs leave the postcondition with this frame",
-                        ),
-                        checked,
-                    )
+        checked += 1
+        out1 = outs1.get(g1)
+        if out1 is None:
+            out1 = outs1[g1] = run1(g1)
+        out2 = outs2.get(g2)
+        if out2 is None:
+            out2 = outs2[g2] = run2(g2)
+        if out1 is ERR or out2 is ERR:
+            reason = "execution faulted"
+        elif not member(post_rel, (out1, out2)):
+            reason = "outputs leave the postcondition with this frame"
+        else:
+            continue
+        return Violation(location, (g1, g2), _NO_FRAME, (out1, out2), reason), checked
     return None, checked
-
-
-def _in_post_with_frame(post_rel: GenRel, frame, outputs) -> bool:
-    """Whether outputs extend gen·frame for some post generator gen.
-
-    gen·frame is defined and extended by the outputs exactly when the frame
-    is extended by them and gen is disjoint from the frame and extended by
-    them, so no composed heap is built.
-    """
-    f0, g0 = frame
-    out1, out2 = outputs
-    if not (extends(f0, out1) and extends(g0, out2)):
-        return False
-    for gen1, gen2 in post_rel.generators:
-        if (
-            disjoint(gen1, f0)
-            and disjoint(gen2, g0)
-            and extends(gen1, out1)
-            and extends(gen2, out2)
-        ):
-            return True
-    return False

@@ -625,6 +625,15 @@ class AssertEnv:
 _HEADER_KEYS = ("avars", "env")
 
 
+def _check_variable_name(word: str, kind: str) -> None:
+    """Reject a declared name that the tokenizer would not read as one."""
+    if word in _KEYWORDS or word == "_":
+        raise ValueError(f"{kind} {word!r} is a reserved word")
+    token = _TOKEN_RE.fullmatch(word)
+    if token is None or token.lastgroup != "ident":
+        raise ValueError(f"{kind} {word!r} is not an identifier")
+
+
 def parse_header(
     key: str, body: str, avars: frozenset[str], eta: Mapping[str, int]
 ) -> tuple[frozenset[str], dict[str, int]]:
@@ -636,6 +645,8 @@ def parse_header(
     """
     items = [item.strip() for item in body.split(",") if item.strip()]
     if key == "avars":
+        for item in items:
+            _check_variable_name(item, "assertion variable")
         return avars | frozenset(items), dict(eta)
     if key == "env":
         bound = dict(eta)
@@ -643,6 +654,7 @@ def parse_header(
             name, eq, value = (part.strip() for part in item.partition("="))
             if not (name and eq and re.fullmatch(r"[+-]?\d+", value)):
                 raise ValueError(f"env binding {item!r} needs the form name=int")
+            _check_variable_name(name, "normal variable")
             bound[name] = int(value)
         return avars, bound
     raise ValueError(f"unknown header {key!r}; expected one of {', '.join(_HEADER_KEYS)}")

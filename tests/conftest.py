@@ -8,6 +8,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 
 from seplift.heap import Heap
+from seplift.hoare import IfCmd, LetRead, SeqCmd, Skip, Write
 from seplift.relations import GenRel
 from seplift.scenarios import Scenario, parse_scenario
 from seplift.syntax import (
@@ -54,6 +55,38 @@ def gen_rels(n: int, max_generators: int = 3):
         lambda gens: GenRel(n, gens)
     )
 
+
+# Loop-free commands without calls.  ``y`` is bound in COMMAND_ETA and
+# rebound by every let-read, so addresses and values may come from the heap;
+# guards compare normal variables with constants.  A heap value of 0 used as
+# an address always faults.
+COMMAND_ETA = {"x": 1, "y": 1}
+
+_cmd_addrs = st.one_of(st.integers(1, 2).map(IntLit), st.just(VarRef("y")))
+_cmd_values = st.one_of(
+    st.integers(0, 2).map(IntLit),
+    st.just(VarRef("y")),
+    st.just(Add(VarRef("y"), IntLit(1))),
+)
+
+commands = st.recursive(
+    st.one_of(
+        st.just(Skip()),
+        st.tuples(_cmd_addrs, _cmd_values).map(lambda t: Write(*t)),
+    ),
+    lambda child: st.one_of(
+        st.tuples(child, child).map(lambda t: SeqCmd(*t)),
+        st.tuples(_cmd_addrs, child).map(lambda t: LetRead("y", *t)),
+        st.tuples(
+            st.sampled_from(["=", "<"]),
+            st.sampled_from(["x", "y"]).map(VarRef),
+            st.integers(0, 2).map(IntLit),
+            child,
+            child,
+        ).map(lambda t: IfCmd(BoolAtom(*t[:3]), t[3], t[4])),
+    ),
+    max_leaves=5,
+)
 
 _expr_leaves = st.one_of(
     st.integers(0, 3).map(IntLit),

@@ -125,6 +125,33 @@ def test_input_errors_exit_two(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("header", ["avars: a, 1, true", "avars: a\nenv: 2=3"])
+def test_lift_with_a_non_identifier_header_name_exits_two(capsys, tmp_path, header):
+    source = tmp_path / "names.imp"
+    source.write_text(header + "\n1|->_ * a |= 1|->_ * a\n")
+    code = main(["lift", str(source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "is not an identifier" in captured.err
+    assert captured.out == ""
+
+
+def test_validity_names_its_bound(capsys):
+    counter = str(SCENARIOS / "counter.scn")
+    code, out = run(capsys, "--vals=-1,0,1", "validity", counter)
+    assert code == 0
+    assert out.strip() == (
+        "NoViolation (bounded; 18 input pairs) [domain: vals=[-1, 0, 1], locs=[1, 2, 3]]"
+    )
+    code, out = run(
+        capsys, "--format", "structured", "--vals=0,1", "--locs", "2", "validity", counter
+    )
+    record = json.loads(out)
+    assert code == 0
+    assert record["dom"] == {"vals": [0, 1], "locs": [1, 2]}
+    assert record["pairs_checked"] > 0
+
+
 def test_over_deep_assertion_exits_two(capsys, tmp_path):
     source = tmp_path / "deep.imp"
     source.write_text("avars: a\n" + " * ".join(["a"] * 1200) + " |= a\n")

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+import hypothesis.strategies as st
+from hypothesis import example, given, settings
 
-from conftest import AVARS, load_scenario, small_heaps
+from conftest import AVARS, COMMAND_ETA, commands, load_scenario, small_heaps
 from seplift import hoare
 from seplift.heap import EMPTY_HEAP, Heap, cells, compose, heap
 from seplift.hoare import (
@@ -103,6 +104,31 @@ def test_frame_property_of_packaged_modules(h, frame):
                 assert exec_command(cmd, {}, {}, combined) == compose(out, frame)
 
 
+# Heaps over locations 1..3 and values 0..2, the command generator's range,
+# split into a heap g and a disjoint frame f.
+_lemma_cells = st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(commands, _lemma_cells, st.frozensets(st.integers(1, 3)))
+# A read and a write of a cell that only the frame holds.
+@example(
+    LetRead("y", IntLit(2), Write(IntLit(1), VarRef("y"))), {1: 0, 2: 1}, frozenset({2})
+)
+@example(Write(IntLit(2), IntLit(1)), {1: 0, 2: 0}, frozenset({2}))
+def test_commands_are_local_actions(cmd, cells, frame_locs):
+    """The lemma frame-free 2-validity rests on: a command that does not
+    fault on g runs on g·f to its output on g, composed with f."""
+    g = Heap({loc: v for loc, v in cells.items() if loc not in frame_locs})
+    f = Heap({loc: v for loc, v in cells.items() if loc in frame_locs})
+    out = exec_command(cmd, COMMAND_ETA, {}, g)
+    if out is ERR:
+        return
+    framed = compose(out, f)
+    assert framed is not None
+    assert exec_command(cmd, COMMAND_ETA, {}, compose(g, f)) == framed
+
+
 def test_check_proof_counter_client_accepted():
     scenario = load_scenario("counter.scn")
     verdict = check_proof(scenario.gamma, scenario.derivation(), COUNTER_BUDGET)
@@ -191,7 +217,7 @@ def test_check_proof_consequence_unary_search_refutes():
 
 def test_two_validity_identity_modules():
     gamma = make_context([Triple(parse("1|->_"), "noop", parse("1|->_"))])
-    impl = {"noop": lambda h: h}
+    impl = build_modules({"noop": Skip()})
     rho = AssertEnv(2, {})
     verdict = two_validity_test(
         gamma,
@@ -229,7 +255,7 @@ def test_two_validity_reports_broken_context_triple():
 
 def test_two_validity_err_is_a_violation():
     gamma = make_context([Triple(parse("true"), "boom", parse("true"))])
-    impl = {"boom": lambda h: ERR}
+    impl = build_modules({"boom": parse_command("[1] := 0")})  # faults on []
     verdict = two_validity_test(
         gamma,
         (impl, impl),

@@ -112,7 +112,7 @@ def test_demo_counter_report():
 demo counter: OK
   two-stage counter; couplings: equal values in stage one, negated values in stage two
   client proof: Accepted (relative to the search bound)
-  binary validity: NoViolation (bounded; 4608 input/frame pairs)
+  binary validity: NoViolation (bounded; 18 input pairs)
   client runs from [1|->-1]: final heaps [1|->0] vs [1|->0]
   client runs from [1|->0]: final heaps [1|->0] vs [1|->0]
   client runs from [1|->1]: final heaps [1|->0] vs [1|->0]"""
@@ -132,7 +132,7 @@ def test_demo_goodbad_report():
 demo goodbad: OK
   good client uses fin; bad client uses badfin
   good proof: Accepted (relative to the search bound)
-  good validity: NoViolation (bounded; 2304 input/frame pairs)
+  good validity: NoViolation (bounded; 9 input pairs)
   good runs from [1|->0]: final heaps [1|->0] vs [1|->0]
   good runs from [1|->1]: final heaps [1|->1] vs [1|->1]
   good runs from [1|->2]: final heaps [1|->2] vs [1|->2]

@@ -184,3 +184,39 @@ def test_env_binding_errors_name_the_binding(binding):
 def test_env_binding_accepts_signed_integers():
     _, eta = parse_header("env", "x = -2, y=+3", frozenset(), {})
     assert eta == {"x": -2, "y": 3}
+
+
+# (header key, header body, the message's kind and word, how it fails)
+BAD_NAMES = [
+    ("avars", "a, 1", "assertion variable '1'", "is not an identifier"),
+    ("avars", "a, true", "assertion variable 'true'", "is a reserved word"),
+    ("avars", "EX", "assertion variable 'EX'", "is a reserved word"),
+    ("avars", "a b", "assertion variable 'a b'", "is not an identifier"),
+    ("avars", "_", "assertion variable '_'", "is a reserved word"),
+    ("env", "2=3", "normal variable '2'", "is not an identifier"),
+    ("env", "x=1, false=0", "normal variable 'false'", "is a reserved word"),
+    ("env", "x-y=1", "normal variable 'x-y'", "is not an identifier"),
+]
+
+
+@pytest.mark.parametrize("key, body, kind, failure", BAD_NAMES)
+def test_header_names_must_be_identifiers(key, body, kind, failure):
+    from seplift.scenarios import parse_scenario
+
+    message = f"{kind} {failure}"
+    with pytest.raises(ValueError) as exc:
+        parse_header(key, body, frozenset(), {})
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
+        parse_assertion_file(f"# names\n{key}: {body}\n1|->_ |= 1|->_\n")
+    assert str(exc.value) == f"line 2: {message}"
+    with pytest.raises(ValueError) as exc:
+        parse_scenario(f"{key}: {body}\nclient: skip\npre: true\npost: true\n")
+    assert str(exc.value) == message
+
+
+def test_header_accepts_identifier_names():
+    avars, eta = parse_header("avars", "a, b_2, c'", frozenset(), {})
+    _, eta = parse_header("env", "x_1=0, X=2", avars, eta)
+    assert avars == {"a", "b_2", "c'"}
+    assert eta == {"x_1": 0, "X": 2}

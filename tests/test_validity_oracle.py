@@ -1,22 +1,31 @@
-"""2-validity against a naive nested-loop reference, and run counting.
+"""2-validity against a naive framed reference, and run counting.
 
-``naive_check_binary_triple`` is the straightforward reading of the binary
-triple check: for every generator pair and every pair of frames disjoint
-from it, build both inputs, run both implementations, and look for a post
-generator whose composition with the frame the outputs extend.  It builds
-every heap it tests and runs the implementations once per pair.
+``naive_check_binary_triple`` is the straightforward framed reading of the
+binary triple check: for every generator pair and every pair of frames
+disjoint from it, build both inputs, run both implementations, and look for
+a post generator whose composition with the frame the outputs extend.  It
+builds every heap it tests and runs the implementations once per pair.  It
+reports the number of in-budget generator pairs it entered, which is what
+``pairs_checked`` counts, so whole verdicts can be compared.  The fast check
+runs no frame at all; that commands are local actions makes the two agree.
 """
 
-import pytest
+from unittest.mock import patch
 
-from conftest import load_scenario
+import hypothesis.strategies as st
+import pytest
+from hypothesis import example, given, settings
+
+from conftest import COMMAND_ETA, commands, load_scenario
 from seplift import hoare
 from seplift.heap import EMPTY_HEAP, Heap, compose, heap
 from seplift.hoare import (
     ERR,
     Call,
+    LetRead,
     Triple,
     Violation,
+    Write,
     build_modules,
     make_context,
     two_validity_test,
@@ -24,7 +33,7 @@ from seplift.hoare import (
 from seplift.relations import GenRel, tuple_compose, tuple_extends
 from seplift.scenarios import parse_command, parse_scenario
 from seplift.semantics import SearchBudget, bounded_heaps, interpret
-from seplift.syntax import AssertEnv, parse
+from seplift.syntax import AssertEnv, IntLit, VarRef, parse
 
 
 def naive_in_post_with_frame(post_rel, frame, outputs):
@@ -39,19 +48,19 @@ def naive_check_binary_triple(location, pre, run1, run2, post, rho, eta, budget,
     pre_rel = interpret(pre, eta, rho, 2, dom)
     post_rel = interpret(post, eta, rho, 2, dom)
     frames = bounded_heaps(budget.max_loc, budget.values)
-    checked = 0
+    checked = 0  # in-budget generator pairs entered
     for g1, g2 in pre_rel.sorted_generators():
         if not (
             hoare._within_budget(g1, budget) and hoare._within_budget(g2, budget)
         ):
             continue
+        checked += 1
         frames1 = [f for f in frames if compose(g1, f) is not None]
         frames2 = [f for f in frames if compose(g2, f) is not None]
         for f0 in frames1:
             f = compose(g1, f0)
             for g0 in frames2:
                 g = compose(g2, g0)
-                checked += 1
                 out1 = run1(f)
                 out2 = run2(g)
                 if out1 is ERR or out2 is ERR:
@@ -203,15 +212,10 @@ def test_each_input_heap_runs_once_per_triple_check(monkeypatch, file, values):
     for seen1, seen2, _ in runs:
         assert len(seen1) == len(set(seen1))
         assert len(seen2) == len(set(seen2))
-    # Input/frame pairs share input heaps, so a run per pair would repeat.
-    assert sum(checked for *_, checked in runs) > sum(
-        len(seen1) + len(seen2) for seen1, seen2, _ in runs
-    )
 
 
-# Implementations that do not respect frames, written as heap functions: the
-# post check must see that the frame is still there on both sides and is
-# disjoint from the post generator it pairs with.
+# Operations written as heap functions need not be local actions, so the
+# frame-free check cannot rely on them and must refuse them.
 def _alloc_1(h):
     return h if 1 in h else Heap({**dict(h.cells), 1: 0})
 
@@ -237,21 +241,66 @@ NON_LOCAL = [
 
 
 @pytest.mark.parametrize("pre, post, op1, op2, coupling", NON_LOCAL)
-def test_non_local_implementations_match_naive_reference(
-    monkeypatch, pre, post, op1, op2, coupling
-):
+def test_operations_not_built_from_commands_are_rejected(pre, post, op1, op2, coupling):
     budget = SearchBudget(2, (0, 1))
     pre, post = parse(pre, frozenset(coupling)), parse(post, frozenset(coupling))
     gamma = make_context([Triple(pre, "op", post)])
-
-    def validity():
-        return two_validity_test(
+    with pytest.raises(TypeError, match="'op' is not built by build_modules"):
+        two_validity_test(
             gamma, ({"op": op1}, {"op": op2}), AssertEnv(2, coupling), {}, pre,
             Call("op"), post, budget, budget.domain(),
         )
 
+
+# One-operation scenarios from random command bodies, checked with and
+# without frames.  Locations 1..2 and values 0..1 keep the framed loop small.
+DIFF_BUDGET = SearchBudget(2, (0, 1))
+DIFF_ASSERTIONS = ["true", "1|->_", "1|->0", "a", "a * 2|->_", "1|->_ \\/ a", "1|->_ * 2|->_"]
+_diff_heaps = st.dictionaries(st.integers(1, 2), st.integers(0, 1), max_size=2).map(Heap)
+_diff_couplings = st.frozensets(st.tuples(_diff_heaps, _diff_heaps), max_size=3).map(
+    lambda gens: GenRel(2, gens)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    commands,
+    commands,
+    st.sampled_from(DIFF_ASSERTIONS),
+    st.sampled_from(DIFF_ASSERTIONS),
+    st.sampled_from(DIFF_ASSERTIONS),
+    _diff_couplings,
+)
+# impl1 reads cell 2, which only a frame can hold.
+@example(
+    LetRead("y", IntLit(2), Write(IntLit(1), VarRef("y"))),
+    Write(IntLit(1), IntLit(0)),
+    "1|->_",
+    "1|->0",
+    "1|->0",
+    GenRel(2, []),
+)
+def test_frame_free_check_matches_framed_reference(
+    cmd1, cmd2, pre, post, client_post, coupling
+):
+    avars = frozenset({"a"})
+    pre, post, client_post = (parse(text, avars) for text in (pre, post, client_post))
+    gamma = make_context([Triple(pre, "op", post)])
+    modules = (
+        build_modules({"op": cmd1}, COMMAND_ETA),
+        build_modules({"op": cmd2}, COMMAND_ETA),
+    )
+
+    def validity():
+        return two_validity_test(
+            gamma, modules, AssertEnv(2, {"a": coupling}), COMMAND_ETA, pre,
+            Call("op"), client_post, DIFF_BUDGET, DIFF_BUDGET.domain(),
+        )
+
     fast = validity()
-    monkeypatch.setattr(hoare, "_check_binary_triple", naive_check_binary_triple)
-    naive = validity()
-    assert not naive.ok and naive.failed_triple == "op"
-    assert fast == naive
+    with patch.object(hoare, "_check_binary_triple", naive_check_binary_triple):
+        naive = validity()
+    assert (fast.ok, fast.failed_triple, fast.violation) == (
+        naive.ok, naive.failed_triple, naive.violation
+    )
+    assert fast.pairs_checked == naive.pairs_checked
