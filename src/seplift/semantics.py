@@ -8,6 +8,13 @@ relation algebra; quantifiers are finite joins/meets over a configurable
 value domain.  Results are exact for quantifier-free assertions and
 domain-relative otherwise, which every report states.
 
+There is one evaluator.  An assertion is compiled in one walk: primitives
+are evaluated, quantifiers expanded over the value domain, and every subtree
+without assertion variables folded to its relation, since such a meaning does
+not depend on the environment.  What is left is a function of the variables'
+relations, the spine from the root to the variables, built from direct calls
+to `star`, `meet` and `union`.  ``interpret`` compiles and applies once.
+
 ``find_counter_env`` searches the space of assertion-variable environments
 within a budget for a refutation of an implication at a given arity.  The
 meaning of an assertion is fixed up to renaming (the parametricity behind the
@@ -18,7 +25,10 @@ renamed meaning.  A refutation's whole orbit under these symmetries thus
 refutes, and the search
 visits only the lexicographically least member of each orbit; the first
 refutation in its fixed visiting order is such a member, so the answer is the
-one the full enumeration gives.
+one the full enumeration gives.  Each side is compiled once per search and
+applied to each environment visited; the right side is skipped when the left
+relation is empty, which is exact because a refutation needs a left generator
+outside the right relation.
 
 ``pc_check`` decides (within a heap bound) the semantic condition that makes
 an implication valid for arity-independent reasons: every family of subheaps
@@ -30,9 +40,10 @@ by a variable-free disjunct containing the whole heap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, permutations, product
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .heap import Heap
 from .layout import compute_layout
@@ -66,6 +77,7 @@ from .syntax import (
     PointsToAny,
     Star,
     TrueLit,
+    UnboundVariable,
     assertion_vars,
     eval_bool,
     eval_expr,
@@ -167,6 +179,11 @@ def _prim_unary(
     raise TypeError(f"not a primitive predicate: {prim!r}")
 
 
+def _require_positive_arity(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"arity must be a positive integer, got {n}")
+
+
 def interpret(
     phi: Assertion,
     eta: Mapping[str, int] | None,
@@ -175,9 +192,26 @@ def interpret(
     dom: ValueDomain,
 ) -> GenRel:
     """The n-ary meaning of `phi` under environments `eta` and `rho`."""
+    _require_positive_arity(n)
     if rho is not None and rho.arity != n:
         raise ValueError(f"environment arity {rho.arity} does not match n={n}")
-    return _interpret(phi, _freeze_eta(eta), rho, n, dom)
+    return _evaluate(phi, _freeze_eta(eta), rho, n, dom)
+
+
+def _evaluate(
+    phi: Assertion,
+    eta_key: tuple[tuple[str, int], ...],
+    rho: AssertEnv | None,
+    n: int,
+    dom: ValueDomain,
+) -> GenRel:
+    """Compile `phi` with rho's variables as its inputs and apply it once."""
+    bound = rho.items() if rho is not None else []
+    index = {name: i for i, (name, _) in enumerate(bound)}
+    compiled = _compile(phi, eta_key, n, dom, index, set())
+    if isinstance(compiled, GenRel):
+        return compiled
+    return compiled([rel for _, rel in bound])
 
 
 def _bind(
@@ -187,55 +221,93 @@ def _bind(
 
 
 _PRIMITIVES = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)
+_CONNECTIVES = {Star: star, And: meet, Or: union}
+
+# A compiled assertion: its meaning when it has no assertion variables, else
+# a function from the variables' relations, listed by position, to it.
+Compiled = GenRel | Callable[[Sequence[GenRel]], GenRel]
 
 
-def _interpret(
+def _compile(
     phi: Assertion,
     eta_key: tuple[tuple[str, int], ...],
-    rho: AssertEnv | None,
     n: int,
     dom: ValueDomain,
-) -> GenRel:
-    if isinstance(phi, _PRIMITIVES):
-        return delta(n, _prim_unary(phi, eta_key, dom))
-    if isinstance(phi, AVar):
-        if rho is None or phi.name not in rho:
-            from .syntax import UnboundVariable
+    index: Mapping[str, int],
+    prims: set[GenRel],
+) -> Compiled:
+    """Compile `phi` at arity n; `index` gives each assertion variable's
+    position in the relation list the result is applied to.
 
+    Walks `phi` once, left to right, so errors are raised in evaluation
+    order: UnboundVariable for a normal variable missing from `eta_key` or an
+    assertion variable missing from `index`.  Each primitive is evaluated
+    once, and its unary meaning is added to `prims`; quantifiers are expanded
+    over `dom.values`; a connective whose operands are both constants is
+    folded to a constant.  What is left is the spine from the root to the
+    variables.
+    """
+    if isinstance(phi, _PRIMITIVES):
+        meaning = _prim_unary(phi, eta_key, dom)
+        prims.add(meaning)
+        return delta(n, meaning)
+    if isinstance(phi, AVar):
+        if phi.name not in index:
             raise UnboundVariable(f"assertion variable {phi.name!r} is unbound")
-        return rho[phi.name]
+        return itemgetter(index[phi.name])
     if isinstance(phi, TrueLit):
         return top(n)
     if isinstance(phi, FalseLit):
         return empty(n)
-    if isinstance(phi, Star):
-        return star(
-            _interpret(phi.left, eta_key, rho, n, dom),
-            _interpret(phi.right, eta_key, rho, n, dom),
+    if isinstance(phi, (Star, And, Or)):
+        return _combine(
+            _CONNECTIVES[type(phi)],
+            _compile(phi.left, eta_key, n, dom, index, prims),
+            _compile(phi.right, eta_key, n, dom, index, prims),
         )
-    if isinstance(phi, And):
-        return meet(
-            _interpret(phi.left, eta_key, rho, n, dom),
-            _interpret(phi.right, eta_key, rho, n, dom),
-        )
-    if isinstance(phi, Or):
-        return union(
-            _interpret(phi.left, eta_key, rho, n, dom),
-            _interpret(phi.right, eta_key, rho, n, dom),
-        )
-    if isinstance(phi, Exists):
-        result = empty(n)
-        for v in dom.values:
-            eta_v = _bind(eta_key, phi.var, v)
-            result = union(result, _interpret(phi.body, eta_v, rho, n, dom))
-        return result
-    if isinstance(phi, Forall):
-        result = top(n)
-        for v in dom.values:
-            eta_v = _bind(eta_key, phi.var, v)
-            result = meet(result, _interpret(phi.body, eta_v, rho, n, dom))
+    if isinstance(phi, (Exists, Forall)):
+        op = union if isinstance(phi, Exists) else meet
+        parts = [
+            _compile(phi.body, _bind(eta_key, phi.var, v), n, dom, index, prims)
+            for v in dom.values
+        ]
+        constants = [p for p in parts if isinstance(p, GenRel)]
+        result = reduce(op, constants) if constants else None
+        for part in parts:
+            if not isinstance(part, GenRel):
+                result = part if result is None else _combine(op, result, part)
         return result
     raise TypeError(f"not an assertion: {phi!r}")
+
+
+def _combine(
+    op: Callable[[GenRel, GenRel], GenRel], left: Compiled, right: Compiled
+) -> Compiled:
+    """The compiled `op(left, right)` for op one of star, meet and union.
+
+    All three are commutative, so a constant operand is moved to the left.
+    The empty and the full relation are each the identity or absorbing for
+    every op, as relations are upward closed (`star(top(n), r)` is r).
+    """
+    if isinstance(right, GenRel):
+        if isinstance(left, GenRel):
+            return op(left, right)
+        left, right = right, left
+    if not isinstance(left, GenRel):
+        if op is union:
+            return lambda rels: op(left(rels), right(rels))
+
+        def absorb(rels):
+            # empty is absorbing for star and meet: right need not be applied
+            first = left(rels)
+            return first if first.is_empty() else op(first, right(rels))
+
+        return absorb
+    if left.is_empty():
+        return right if op is union else left
+    if left == top(left.arity):
+        return left if op is union else right
+    return lambda rels: op(left, right(rels))
 
 
 def env_valid(
@@ -382,20 +454,6 @@ def _candidate_space(n: int, budget: SearchBudget) -> _CandidateSpace:
     return _CandidateSpace(n, budget)
 
 
-def _primitive_meanings(
-    phi: Assertion, eta_key: tuple[tuple[str, int], ...], dom: ValueDomain
-) -> Iterable[GenRel]:
-    """The unary meaning of every primitive `_interpret` reaches in `phi`."""
-    if isinstance(phi, _PRIMITIVES):
-        yield _prim_unary(phi, eta_key, dom)
-    elif isinstance(phi, (Star, And, Or)):
-        yield from _primitive_meanings(phi.left, eta_key, dom)
-        yield from _primitive_meanings(phi.right, eta_key, dom)
-    elif isinstance(phi, (Exists, Forall)):
-        for v in dom.values:
-            yield from _primitive_meanings(phi.body, _bind(eta_key, phi.var, v), dom)
-
-
 def _fixes(sigma: dict[int, int], meaning: GenRel) -> bool:
     """Whether renaming locations by `sigma` maps the unary `meaning` to itself."""
     cells = {g[0].cells for g in meaning.generators}
@@ -404,14 +462,8 @@ def _fixes(sigma: dict[int, int], meaning: GenRel) -> bool:
     }
 
 
-def _symmetry_tables(
-    space: _CandidateSpace,
-    sides: tuple[Assertion, ...],
-    eta_key: tuple[tuple[str, int], ...],
-    dom: ValueDomain,
-) -> list:
-    """The index tables of the symmetries that fix every primitive in `sides`."""
-    meanings = {m for phi in sides for m in _primitive_meanings(phi, eta_key, dom)}
+def _symmetry_tables(space: _CandidateSpace, meanings: Iterable[GenRel]) -> list:
+    """The index tables of the symmetries that fix every unary `meanings`."""
     return [
         table
         for sigma in space.location_perms
@@ -476,20 +528,31 @@ def find_counter_env(
     refutation in visiting order is the least of its class, so the returned
     environment and witness are those of the full enumeration, and None
     still means the whole budget space holds no refutation.
+
+    lhs and rhs are each compiled once, with their variable-free subtrees
+    folded to relations, and applied to every environment visited.  The
+    witness is a generator of the left relation outside the right one, so an
+    environment whose left relation is empty cannot refute, and its right
+    side is not evaluated.  An `AssertEnv` is built only for the refutation
+    returned.
     """
+    _require_positive_arity(n)
     variables = sorted(assertion_vars(lhs) | assertion_vars(rhs))
     dom = budget.domain()
     eta_key = _freeze_eta(eta)
+    index = {name: i for i, name in enumerate(variables)}
+    prims: set[GenRel] = set()
+    lhs_compiled = _compile(lhs, eta_key, n, dom, index, prims)
+    rhs_compiled = _compile(rhs, eta_key, n, dom, index, prims)
     if not variables:
-        lhs_rel = _interpret(lhs, eta_key, None, n, dom)
-        rhs_rel = _interpret(rhs, eta_key, None, n, dom)
-        witness = _first_escapee(lhs_rel, rhs_rel)
+        witness = _first_escapee(lhs_compiled, rhs_compiled)
         if witness is not None:
             return CounterexampleEnv(AssertEnv(n, {}), witness)
         return None
 
+    lhs_of, rhs_of = _as_function(lhs_compiled), _as_function(rhs_compiled)
     space = _candidate_space(n, budget)
-    tables = _symmetry_tables(space, (lhs, rhs), eta_key, dom)
+    tables = _symmetry_tables(space, prims)
     by_size = space.by_size
     max_size = len(by_size) - 1
     for sizes in _size_vectors(len(variables), max_size):
@@ -497,21 +560,27 @@ def find_counter_env(
         if any(not pool for pool in pools):
             continue
         for indices in _orbit_least(sizes, [len(p) for p in pools], tables):
-            combo = [pool[i] for pool, i in zip(pools, indices)]
-            rho = AssertEnv(n, dict(zip(variables, combo)))
-            lhs_rel = _interpret(lhs, eta_key, rho, n, dom)
-            rhs_rel = _interpret(rhs, eta_key, rho, n, dom)
-            witness = _first_escapee(lhs_rel, rhs_rel)
+            rels = [pool[i] for pool, i in zip(pools, indices)]
+            lhs_rel = lhs_of(rels)
+            if lhs_rel.is_empty():
+                continue
+            witness = _first_escapee(lhs_rel, rhs_of(rels))
             if witness is not None:
+                rho = AssertEnv(n, dict(zip(variables, rels)))
                 return CounterexampleEnv(rho, witness)
     return None
 
 
+def _as_function(compiled: Compiled) -> Callable[[Sequence[GenRel]], GenRel]:
+    if isinstance(compiled, GenRel):
+        return lambda rels: compiled
+    return compiled
+
+
 def _first_escapee(lhs_rel: GenRel, rhs_rel: GenRel) -> HeapTuple | None:
-    for gen in lhs_rel.sorted_generators():
-        if not member(rhs_rel, gen):
-            return gen
-    return None
+    """The least generator of lhs_rel, in `tuple_sort_key` order, outside rhs_rel."""
+    escapees = [gen for gen in lhs_rel.generators if not member(rhs_rel, gen)]
+    return min(escapees, key=tuple_sort_key) if escapees else None
 
 
 def env_candidate_count(num_vars: int, n: int, budget: SearchBudget) -> int:
@@ -579,12 +648,8 @@ def pc_check(
     dom = dom or budget.domain()
     eta_key = _freeze_eta(eta)
     layout = compute_layout(form)
-    conj_rels = [
-        _interpret(c.base, eta_key, None, 1, dom) for c in form.conjuncts
-    ]
-    disj_rels = [
-        _interpret(d.base, eta_key, None, 1, dom) for d in form.disjuncts
-    ]
+    conj_rels = [_evaluate(c.base, eta_key, None, 1, dom) for c in form.conjuncts]
+    disj_rels = [_evaluate(d.base, eta_key, None, 1, dom) for d in form.disjuncts]
     dominated = [
         [
             j

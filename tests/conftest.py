@@ -6,11 +6,13 @@ from itertools import product
 from pathlib import Path
 
 import hypothesis.strategies as st
+from hypothesis import settings
 
 from seplift.heap import Heap
 from seplift.hoare import IfCmd, LetRead, SeqCmd, Skip, Write
-from seplift.relations import GenRel
+from seplift.relations import GenRel, delta, empty, meet, star, top, union
 from seplift.scenarios import Scenario, parse_scenario
+from seplift.semantics import _prim_unary
 from seplift.syntax import (
     Add,
     AVar,
@@ -28,8 +30,14 @@ from seplift.syntax import (
     Star,
     SubExpr,
     TrueLit,
+    UnboundVariable,
     VarRef,
 )
+
+# No per-example deadline: example times vary with the load on the host, and
+# a slow example is not a failure.  Tests set only max_examples.
+settings.register_profile("seplift", deadline=None)
+settings.load_profile("seplift")
 
 AVARS = frozenset({"a", "b"})
 
@@ -164,3 +172,56 @@ def heap_splits(h: Heap) -> list[tuple[Heap, Heap]]:
         right = {c[0]: c[1] for i, c in enumerate(cells) if not mask >> i & 1}
         out.append((Heap(left), Heap(right)))
     return out
+
+
+# Reference interpreter: the plain recursive walk, re-evaluating every subtree
+# under every environment.  `semantics.interpret` compiles instead and must
+# give the same relations and raise UnboundVariable on the same inputs.
+
+_NAIVE_PRIMITIVES = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)
+
+
+def _naive_bind(eta_key, var, value):
+    return tuple(sorted((dict(eta_key) | {var: value}).items()))
+
+
+def naive_interpret(phi, eta_key, rho, n, dom) -> GenRel:
+    """The n-ary meaning of `phi`; `eta_key` is a sorted tuple of bindings."""
+    if isinstance(phi, _NAIVE_PRIMITIVES):
+        return delta(n, _prim_unary(phi, eta_key, dom))
+    if isinstance(phi, AVar):
+        if rho is None or phi.name not in rho:
+            raise UnboundVariable(f"assertion variable {phi.name!r} is unbound")
+        return rho[phi.name]
+    if isinstance(phi, TrueLit):
+        return top(n)
+    if isinstance(phi, FalseLit):
+        return empty(n)
+    if isinstance(phi, Star):
+        return star(
+            naive_interpret(phi.left, eta_key, rho, n, dom),
+            naive_interpret(phi.right, eta_key, rho, n, dom),
+        )
+    if isinstance(phi, And):
+        return meet(
+            naive_interpret(phi.left, eta_key, rho, n, dom),
+            naive_interpret(phi.right, eta_key, rho, n, dom),
+        )
+    if isinstance(phi, Or):
+        return union(
+            naive_interpret(phi.left, eta_key, rho, n, dom),
+            naive_interpret(phi.right, eta_key, rho, n, dom),
+        )
+    if isinstance(phi, Exists):
+        result = empty(n)
+        for v in dom.values:
+            eta_v = _naive_bind(eta_key, phi.var, v)
+            result = union(result, naive_interpret(phi.body, eta_v, rho, n, dom))
+        return result
+    if isinstance(phi, Forall):
+        result = top(n)
+        for v in dom.values:
+            eta_v = _naive_bind(eta_key, phi.var, v)
+            result = meet(result, naive_interpret(phi.body, eta_v, rho, n, dom))
+        return result
+    raise TypeError(f"not an assertion: {phi!r}")

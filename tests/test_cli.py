@@ -172,6 +172,15 @@ def test_graph_member_out_of_range_exits_two(capsys, member):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("arity", ["0", "-1"])
+def test_search_with_non_positive_arity_exits_two(capsys, arity):
+    code = main(["--arity", arity, "search", str(SCENARIOS / "fan.imp")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: arity must be a positive integer, got {arity}\n"
+    assert captured.out == ""
+
+
 def test_search_with_unbound_normal_variable_exits_two(capsys, tmp_path):
     source = tmp_path / "unbound.imp"
     source.write_text("avars: a\n1|->x * a |= 1|->x * a\n")

@@ -268,7 +268,7 @@ def test_curated_forms_match_naive_front_end(entry):
         assert_same_front_end(side, entry.form.variables)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(assertions)
 def test_generated_assertions_match_naive_front_end(phi):
     assert to_simple(phi) == naive_to_simple(phi)

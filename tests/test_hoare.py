@@ -109,7 +109,7 @@ def test_frame_property_of_packaged_modules(h, frame):
 _lemma_cells = st.dictionaries(st.integers(1, 3), st.integers(0, 2), max_size=3)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(commands, _lemma_cells, st.frozensets(st.integers(1, 3)))
 # A read and a write of a cell that only the frame holds.
 @example(

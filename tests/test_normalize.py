@@ -210,7 +210,7 @@ def _random_env(rng, n, variables):
     return AssertEnv(n, mapping)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(assertions)
 def test_to_simple_preserves_meaning(phi):
     simple = to_simple(phi)

@@ -169,7 +169,7 @@ def test_exactness_meet_union(r, s):
     assert naive_closure(union(r, s), _UNIVERSE) == closure_r | closure_s
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(gen_rels(2, 2), gen_rels(2, 2))
 def test_exactness_star(r, s):
     closure_r = naive_closure(r, _UNIVERSE)

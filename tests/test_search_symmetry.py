@@ -1,9 +1,11 @@
 """find_counter_env against the plain enumeration it replaced.
 
 The search skips environments that a location or coordinate permutation maps
-to an earlier one.  `naive_find_counter_env` is the loop without that skip:
-it tries every environment of every size group in order.  Both must return
-the same environment and witness, or both None.
+to an earlier one, compiles each side once and skips the right side when the
+left relation is empty.  `naive_find_counter_env` is the loop without any of
+that: it tries every environment of every size group in order, as an
+`AssertEnv`, through `naive_interpret` and a sorted scan for the escapee.
+Both must return the same environment and witness, or both None.
 """
 
 import random
@@ -12,16 +14,15 @@ from math import factorial
 
 import pytest
 
-from conftest import AVARS, SCENARIO_DIR
+from conftest import AVARS, SCENARIO_DIR, naive_interpret
 from seplift.catalog import CURATED_SUITE
 from seplift.normalize import implication_assertions
+from seplift.relations import member
 from seplift.semantics import (
     CounterexampleEnv,
     SearchBudget,
     _candidate_space,
-    _first_escapee,
-    _freeze_eta,
-    _interpret,
+    _compile,
     _size_vectors,
     _symmetry_tables,
     candidate_relations,
@@ -31,17 +32,24 @@ from seplift.semantics import (
 from seplift.syntax import AssertEnv, assertion_vars, parse, parse_assertion_file
 
 
+def naive_first_escapee(lhs_rel, rhs_rel):
+    for gen in lhs_rel.sorted_generators():
+        if not member(rhs_rel, gen):
+            return gen
+    return None
+
+
 def naive_find_counter_env(lhs, rhs, eta, n, budget=SearchBudget()):
     variables = sorted(assertion_vars(lhs) | assertion_vars(rhs))
     dom = budget.domain()
-    eta_key = _freeze_eta(eta)
+    eta_key = tuple(sorted(eta.items()))
     by_size = candidate_relations(n, budget)
     for sizes in _size_vectors(len(variables), len(by_size) - 1):
         for combo in product(*(by_size[s] for s in sizes)):
             rho = AssertEnv(n, dict(zip(variables, combo)))
-            witness = _first_escapee(
-                _interpret(lhs, eta_key, rho, n, dom),
-                _interpret(rhs, eta_key, rho, n, dom),
+            witness = naive_first_escapee(
+                naive_interpret(lhs, eta_key, rho, n, dom),
+                naive_interpret(rhs, eta_key, rho, n, dom),
             )
             if witness is not None:
                 return CounterexampleEnv(rho, witness)
@@ -127,6 +135,15 @@ def test_seeded_formulas_match_naive_search():
         assert_same_search(lhs, rhs, eta, n, SearchBudget(max_loc))
 
 
+def _primitive_meanings(sides, eta_key, n, dom):
+    """The unary meanings of the primitives in `sides`, as compiling collects them."""
+    meanings = set()
+    index = {"a": 0}
+    for phi in sides:
+        _compile(phi, eta_key, n, dom, index, meanings)
+    return meanings
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_formula_naming_every_location_keeps_only_coordinate_symmetries(n):
     budget = SearchBudget(max_loc=3)
@@ -134,8 +151,10 @@ def test_formula_naming_every_location_keeps_only_coordinate_symmetries(n):
     dom = budget.domain()
     named = (parse("1|->_ * 2|->_ /\\ a", AVARS), parse("a * (x |-> _)", AVARS))
     free = (parse("- /\\ a", AVARS), parse("a * true", AVARS))
-    assert len(_symmetry_tables(space, named, (("x", 3),), dom)) == factorial(n) - 1
-    assert len(_symmetry_tables(space, free, (), dom)) == factorial(n) * 6 - 1
+    named_meanings = _primitive_meanings(named, (("x", 3),), n, dom)
+    free_meanings = _primitive_meanings(free, (), n, dom)
+    assert len(_symmetry_tables(space, named_meanings)) == factorial(n) - 1
+    assert len(_symmetry_tables(space, free_meanings)) == factorial(n) * 6 - 1
 
 
 def test_candidate_space_cache_is_bounded_and_reused():

@@ -1,9 +1,10 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import AVARS, assertions, gen_rels
+from conftest import AVARS, SCENARIO_DIR, assertions, gen_rels, naive_interpret
 from seplift.catalog import make_form
 from seplift.heap import EMPTY_HEAP, Heap, cells, heap
 from seplift.normalize import implication_assertions
@@ -12,12 +13,28 @@ from seplift.semantics import (
     SearchBudget,
     ValueDomain,
     bounded_heaps,
+    env_candidate_count,
     env_valid,
     find_counter_env,
     interpret,
     pc_check,
 )
-from seplift.syntax import AssertEnv, UnboundVariable, assertion_vars, parse
+from seplift.syntax import (
+    And,
+    AssertEnv,
+    BoolAtom,
+    Exists,
+    Forall,
+    NonEmptyHeap,
+    Or,
+    PointsTo,
+    PointsToAny,
+    Star,
+    UnboundVariable,
+    assertion_vars,
+    parse,
+    parse_assertion_file,
+)
 
 DOM01 = ValueDomain(values=(0, 1), locations=(1, 2))
 SMALL = SearchBudget(max_loc=2, values=(0,))
@@ -63,6 +80,80 @@ def test_interpret_unbound_errors():
         interpret(parse("1 |-> x"), {}, None, 1, DOM01)
     with pytest.raises(UnboundVariable):
         interpret(parse("a", AVARS), {}, AssertEnv(1, {}), 1, DOM01)
+
+
+@st.composite
+def _interpretation_inputs(draw):
+    """An arity, an environment for some of a, b (or none) and a binding for
+    some of x, y, so that unbound variables of both kinds occur."""
+    n = draw(st.sampled_from([1, 2]))
+    rho = draw(st.none() | st.dictionaries(
+        st.sampled_from(sorted(AVARS)), gen_rels(n)
+    ).map(lambda mapping: AssertEnv(n, mapping)))
+    eta = draw(st.dictionaries(st.sampled_from(["x", "y"]), st.integers(-1, 3)))
+    return n, rho, eta
+
+
+@settings(max_examples=300)
+@given(assertions, _interpretation_inputs())
+def test_interpret_matches_naive_interpret(phi, inputs):
+    n, rho, eta = inputs
+    try:
+        want = naive_interpret(phi, tuple(sorted(eta.items())), rho, n, DOM01)
+    except UnboundVariable as exc:
+        with pytest.raises(UnboundVariable) as raised:
+            interpret(phi, eta, rho, n, DOM01)
+        assert str(raised.value) == str(exc)
+        return
+    assert interpret(phi, eta, rho, n, DOM01) == want
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("text", ["1|->_ /\\ a*b |= 1|->_", "1|->_ * true |= 2|->_"])
+def test_non_positive_arity_is_rejected(text, n):
+    lhs, rhs = (parse(side, AVARS) for side in text.split("|="))
+    message = f"arity must be a positive integer, got {n}"
+    with pytest.raises(ValueError, match=message):
+        find_counter_env(lhs, rhs, {}, n, SMALL)
+    with pytest.raises(ValueError, match=message):
+        interpret(lhs, {}, None, n, DOM01)
+
+
+def _primitive_occurrences(phi, values) -> int:
+    """Primitive predicates in `phi` after expanding each quantifier over values."""
+    if isinstance(phi, (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)):
+        return 1
+    if isinstance(phi, (Star, And, Or)):
+        return _primitive_occurrences(phi.left, values) + _primitive_occurrences(
+            phi.right, values
+        )
+    if isinstance(phi, (Exists, Forall)):
+        return len(values) * _primitive_occurrences(phi.body, values)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs",
+    [
+        parse_assertion_file((SCENARIO_DIR / "good.imp").read_text()).implications[0],
+        tuple(
+            parse(side, AVARS)
+            for side in "a * (EX x. x|->_) |= (EX y. a * y|->_) \\/ b".split("|=")
+        ),
+    ],
+    ids=["good.imp", "quantified"],
+)
+def test_each_side_is_compiled_once_per_search(lhs, rhs):
+    # Each primitive's diagonal embedding is built when its side is compiled,
+    # so the delta count bounds the compilations whatever the environments.
+    budget = SearchBudget(max_loc=2, values=(0, 1))
+    assert env_candidate_count(2, 2, budget) > 1000
+    before = delta.cache_info()
+    assert find_counter_env(lhs, rhs, {}, 2, budget) is None
+    after = delta.cache_info()
+    calls = after.hits + after.misses - before.hits - before.misses
+    occurrences = sum(_primitive_occurrences(side, budget.values) for side in (lhs, rhs))
+    assert 0 < calls <= occurrences
 
 
 def test_env_valid_fan_binary_fails():
@@ -180,7 +271,7 @@ def _diag_env(rho: AssertEnv, n: int) -> AssertEnv:
     return AssertEnv(n, {name: delta(n, rel) for name, rel in rho.items()})
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(assertions, gen_rels(1), gen_rels(1))
 def test_diagonal_embedding_commutes_with_interpretation(phi, p, q):
     rho1 = AssertEnv(1, {"a": p, "b": q})

@@ -262,7 +262,7 @@ _diff_couplings = st.frozensets(st.tuples(_diff_heaps, _diff_heaps), max_size=3)
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     commands,
     commands,
