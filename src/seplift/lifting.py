@@ -8,7 +8,11 @@ relational interpretation:
   and every disjunct mentions such a variable;
 * balloon: some variable subset B has at most one occurrence per conjunct,
   exactly one occurrence in every non-empty disjunct, and a member on every
-  dashed edge;
+  dashed edge.  Given the second condition, the third says only that the
+  member of B in disjunct j is absent from conjunct i on each dashed edge
+  (i, j), a test on each variable alone; so B is an exact cover of the
+  non-empty disjuncts by the variables that pass it, and the criterion is
+  decided exactly at every size;
 * lonely: a single conjunct whose counts dominate every disjunct.
 
 The criteria are jointly complete for layouts: when all three fail, some
@@ -22,7 +26,6 @@ evidence of unary validity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterator, Mapping
 
 from .layout import LayoutGraph, compute_layout
@@ -55,7 +58,6 @@ from .syntax import (
 
 __all__ = [
     "shadow_criterion",
-    "BalloonResult",
     "balloon_criterion",
     "lonely_criterion",
     "LiftVerdict",
@@ -112,59 +114,56 @@ def shadow_criterion(g: LayoutGraph) -> tuple[bool, tuple[str, ...]]:
     return True, ()
 
 
-@dataclass(frozen=True)
-class BalloonResult:
-    subset: frozenset[str] | None
-    undecided: bool
-    diagnostics: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.subset is not None
+def _mask(flags) -> int:
+    return sum(1 << k for k, flag in enumerate(flags) if flag)
 
 
-_BALLOON_EXHAUSTIVE_LIMIT = 16
+def balloon_criterion(g: LayoutGraph) -> frozenset[str] | None:
+    """The smallest, then lexicographically first, balloon subset B, if any.
 
+    Once B hits each non-empty disjunct j exactly once, a dashed edge (i, j)
+    asks only that B's member in j be absent from conjunct i.  So a variable
+    can join B only if its counts are 0 or 1 and every conjunct-disjunct pair
+    that both contain it is a solid edge, and a smallest B holds no variable
+    that is in no disjunct.  B is then an exact cover of the non-empty
+    disjuncts by such variables that hits each conjunct at most once.
 
-def balloon_criterion(g: LayoutGraph) -> BalloonResult:
-    """First variable subset B satisfying the balloon conditions, if any.
-
-    Subsets are tried in increasing size, then lexicographically, so the
-    reported B is deterministic.  Beyond 16 variables the subset space is not
-    searched and the result is explicitly undecided rather than a guess.
+    A member's conjuncts contain every disjunct it hits, so any other
+    variable there shares a conjunct with it.  Hence all covers split the
+    disjuncts alike and have one size, and variables that hit the same
+    disjuncts are in the same conjuncts, so the first of them stands for
+    all.  The first cover found in variable order, with forward checking, is
+    the answer, exact at every size.
     """
-    variables = g.variables
-    if len(variables) > _BALLOON_EXHAUSTIVE_LIMIT:
-        return BalloonResult(
-            None, True, (f"undecided: {len(variables)} variables exceed subset budget",)
-        )
-    indices = range(len(variables))
-    dashed = [
-        (i, j)
-        for i in range(g.conjunct_count)
-        for j in range(g.disjunct_count)
-        if not g.edge(i, j).solid
-    ]
-    last_reason = "no subset satisfies all three conditions"
-    for size in range(len(variables) + 1):
-        for subset in combinations(indices, size):
-            chosen = set(subset)
-            if any(sum(g.pi[i][v] for v in chosen) > 1 for i in range(g.conjunct_count)):
-                continue
-            if any(
-                any(g.omega[j])
-                and sum(g.omega[j][v] for v in chosen) != 1
-                for j in range(g.disjunct_count)
-            ):
-                continue
-            if any(
-                not any(g.pi[i][v] < g.omega[j][v] for v in chosen)
-                for i, j in dashed
-            ):
-                continue
-            return BalloonResult(
-                frozenset(variables[v] for v in subset), False, ()
-            )
-    return BalloonResult(None, False, (last_reason,))
+    full = _mask(map(any, g.omega))
+    first: dict[int, tuple[int, int]] = {}  # disjuncts -> (variable, conjuncts)
+    for v in range(len(g.variables)):
+        ins = [row[v] for row in g.pi]
+        outs = [row[v] for row in g.omega]
+        if max(ins + outs) == 1 and any(outs) and all(
+            g.edge(i, j).solid for i in range(len(ins)) for j in range(len(outs))
+            if ins[i] and outs[j]
+        ):
+            first.setdefault(_mask(outs), (v, _mask(ins)))
+
+    def cover(candidates: list, covered: int, used: int) -> tuple[int, ...] | None:
+        # the first candidates, in order, that finish the cover
+        if covered == full:
+            return ()
+        options = [c for c in candidates if not c[1] & covered and not c[2] & used]
+        reach = covered
+        for _, outs, _ in options:
+            reach |= outs
+        if reach != full:
+            return None
+        for k, (v, outs, ins) in enumerate(options):
+            rest = cover(options[k + 1 :], covered | outs, used | ins)
+            if rest is not None:
+                return (v, *rest)
+        return None
+
+    found = cover([(v, outs, ins) for outs, (v, ins) in first.items()], 0, 0)
+    return None if found is None else frozenset(g.variables[v] for v in found)
 
 
 def lonely_criterion(g: LayoutGraph) -> bool:
@@ -175,7 +174,7 @@ def lonely_criterion(g: LayoutGraph) -> bool:
 
 @dataclass(frozen=True)
 class LiftVerdict:
-    result: str  # "lifts" | "no_guarantee" | "undecided"
+    result: str  # "lifts" | "no_guarantee"
     criterion: str | None = None
     balloon_subset: frozenset[str] | None = None
     diagnostics: tuple[str, ...] = ()
@@ -189,28 +188,26 @@ class LiftVerdict:
                 subset = "{" + ",".join(sorted(self.balloon_subset)) + "}"
                 return f"LIFTS (Balloon {subset})"
             return f"LIFTS ({self.criterion.capitalize()})"
-        if self.result == "undecided":
-            return "UNDECIDED: " + "; ".join(self.diagnostics)
         return "NO GUARANTEE"
 
 
-def lift_check(form: ImplicationForm) -> LiftVerdict:
+def _layout_verdict(g: LayoutGraph) -> LiftVerdict:
     """Check the criteria in the fixed order shadow, balloon, lonely."""
-    g = compute_layout(form)
     shadow_ok, shadow_diag = shadow_criterion(g)
     if shadow_ok:
         return LiftVerdict("lifts", "shadow")
-    balloon = balloon_criterion(g)
-    if balloon:
-        return LiftVerdict("lifts", "balloon", balloon.subset)
+    subset = balloon_criterion(g)
+    if subset is not None:
+        return LiftVerdict("lifts", "balloon", subset)
     if lonely_criterion(g):
         return LiftVerdict("lifts", "lonely")
-    if balloon.undecided:
-        # A subset may still exist beyond the search budget, so the layout
-        # cannot honestly be called unliftable.
-        return LiftVerdict("undecided", None, None, balloon.diagnostics)
-    diagnostics = shadow_diag + balloon.diagnostics + (NO_GUARANTEE_NOTE,)
-    return LiftVerdict("no_guarantee", None, None, diagnostics)
+    no_balloon = ("no subset satisfies all three conditions", NO_GUARANTEE_NOTE)
+    return LiftVerdict("no_guarantee", None, None, shadow_diag + no_balloon)
+
+
+def lift_check(form: ImplicationForm) -> LiftVerdict:
+    """The lift verdict of the form's layout."""
+    return _layout_verdict(compute_layout(form))
 
 
 # --- CHK ---------------------------------------------------------------------
@@ -294,15 +291,6 @@ def verify_package(pkg: CounterexamplePackage) -> bool:
     return find_counter_env(lhs, rhs, pkg.eta, 1, pkg.unary_budget) is None
 
 
-def _vars_from_counts(
-    variables: tuple[str, ...], counts: tuple[int, ...]
-) -> tuple[str, ...]:
-    out: list[str] = []
-    for var, count in zip(variables, counts):
-        out.extend([var] * count)
-    return tuple(out)
-
-
 def _unary_evidence_budget(budget: SearchBudget) -> SearchBudget:
     # The unary no-refutation evidence is only bounded, so search it over a
     # strictly larger space than the binary refutation needs; this rejects
@@ -325,23 +313,33 @@ _BASE_TEMPLATES: tuple[Assertion, ...] = (
 
 
 def _template_instances(g: LayoutGraph) -> Iterator[ImplicationForm]:
-    """Each template choice of bases for the layout, in search order."""
-    slots = g.conjunct_count + g.disjunct_count
-    assignments = sorted(
-        product(range(len(_BASE_TEMPLATES)), repeat=slots),
-        key=lambda a: (sum(a), a),
-    )
-    for assignment in assignments:
-        yield ImplicationForm(
-            tuple(
-                Clause(_BASE_TEMPLATES[t], _vars_from_counts(g.variables, row))
-                for t, row in zip(assignment, g.pi)
-            ),
-            tuple(
-                Clause(_BASE_TEMPLATES[t], _vars_from_counts(g.variables, row))
-                for t, row in zip(assignment[g.conjunct_count :], g.omega)
-            ),
-        )
+    """Each template choice of bases, by index sum and then lexicographically.
+
+    The 5**slots choices are generated one at a time, never all held at once.
+    """
+    avars = [
+        tuple(var for var, count in zip(g.variables, row) for _ in range(count))
+        for row in g.pi + g.omega
+    ]
+    top_index = len(_BASE_TEMPLATES) - 1
+
+    def with_sum(length: int, total: int) -> Iterator[tuple[int, ...]]:
+        if length == 0:
+            yield ()
+            return
+        low = max(0, total - top_index * (length - 1))
+        for first in range(low, min(top_index, total) + 1):
+            for rest in with_sum(length - 1, total - first):
+                yield (first, *rest)
+
+    for total in range(top_index * len(avars) + 1):
+        for assignment in with_sum(len(avars), total):
+            clauses = tuple(
+                Clause(_BASE_TEMPLATES[t], vs) for t, vs in zip(assignment, avars)
+            )
+            yield ImplicationForm(
+                clauses[: g.conjunct_count], clauses[g.conjunct_count :]
+            )
 
 
 def witness_search(
@@ -358,8 +356,7 @@ def witness_search(
     validity search and refuted with the binary environment search.
     """
     g = subject if isinstance(subject, LayoutGraph) else compute_layout(subject)
-    shadow_ok, _ = shadow_criterion(g)
-    if shadow_ok or balloon_criterion(g) or lonely_criterion(g):
+    if _layout_verdict(g):
         return None
 
     unary_budget = _unary_evidence_budget(budget)

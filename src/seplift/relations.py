@@ -216,7 +216,10 @@ def parse_relation(text: str, arity: int | None = None) -> GenRel:
             inner = stripped[len(keyword) + 1 :].strip()
             if not inner.endswith(")"):
                 raise ValueError(f"malformed relation literal {text!r}")
-            n = int(inner[:-1])
+            try:
+                n = int(inner[:-1])
+            except ValueError:
+                raise ValueError(f"malformed relation literal {text!r}") from None
             if arity is not None and n != arity:
                 raise ValueError(f"{text!r} has arity {n}, expected {arity}")
             return top(n) if keyword == "TOP" else empty(n)
@@ -242,11 +245,13 @@ def parse_relation(text: str, arity: int | None = None) -> GenRel:
         raise ValueError(
             "empty generator literal needs an explicit arity; use EMPTY(n)"
         )
-    inferred = arity if arity is not None else len(tuples[0])
-    for t in tuples:
-        if len(t) != inferred:
-            raise ValueError(f"mixed tuple arities in {text!r}")
-    return GenRel(inferred, tuples)
+    arities = {len(t) for t in tuples} or {arity}
+    if len(arities) > 1:
+        raise ValueError(f"mixed tuple arities in {text!r}")
+    (n,) = arities
+    if arity is not None and n != arity:
+        raise ValueError(f"{text!r} has arity {n}, expected {arity}")
+    return GenRel(n, tuples)
 
 
 def _split_heap_list(chunk: str) -> list[str]:

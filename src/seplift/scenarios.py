@@ -335,7 +335,10 @@ def parse_scenario(text: str) -> Scenario:
     coupling = {}
     for line in sections["coupling"]:
         name, _, literal = line.partition(":")
-        coupling[name.strip()] = parse_relation(literal.strip(), arity=2)
+        try:
+            coupling[name.strip()] = parse_relation(literal.strip(), arity=2)
+        except ValueError as err:
+            raise ValueError(f"coupling {name.strip()!r}: {err}") from None
     _check_coupling(coupling, avars)
     client = parse_command(" ".join(sections["client"]))
     pre = parse(" ".join(sections["pre"]), avars)

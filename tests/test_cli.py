@@ -46,6 +46,20 @@ def test_structured_output_is_deterministic_json(capsys):
     assert record["package"]["recheck"] is True
 
 
+def test_lift_decides_seventeen_variables(capsys, tmp_path):
+    # the balloon layout padded with x00..x14, once in conjunct 2 and once in
+    # disjunct 1: 17 variables, and it lifts by Balloon {b}
+    pad = [f"x{k:02d}" for k in range(15)]
+    big = "*".join(["a", "b", *pad])
+    source = tmp_path / "padded.imp"
+    source.write_text(f"avars: {', '.join(['a', 'b', *pad])}\na /\\ {big} |= {big} \\/ true\n")
+    code, out = run(capsys, "--format", "structured", "lift", str(source))
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "lifts"
+    assert (record["criterion"], record["balloon_subset"]) == ("balloon", ["b"])
+
+
 def test_search_subcommand(capsys):
     code, out = run(capsys, "--arity", "2", "search", str(SCENARIOS / "fan.imp"))
     assert code == 1 and "COUNTEREXAMPLE" in out
@@ -150,6 +164,16 @@ def test_validity_names_its_bound(capsys):
     assert code == 0
     assert record["dom"] == {"vals": [0, 1], "locs": [1, 2]}
     assert record["pairs_checked"] > 0
+
+
+def test_validity_names_the_coupling_of_a_malformed_relation(capsys, tmp_path):
+    text = (SCENARIOS / "goodbad_good.scn").read_text()
+    source = tmp_path / "unary.scn"
+    source.write_text(text.replace("  b: { ([],[1:0]), ([],[1:1]), ([],[1:2]) }", "  b: { ([1:0]) }"))
+    code = main(["validity", str(source)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "coupling 'b': '{ ([1:0]) }' has arity 1, expected 2" in captured.err
 
 
 def test_over_deep_assertion_exits_two(capsys, tmp_path):

@@ -42,3 +42,44 @@ def test_no_unused_module_level_imports(path):
         if name not in _used_names(tree) and name not in _exported_names(tree)
     }
     assert not unused, f"{path.name}: unused imports {sorted(unused.items(), key=lambda kv: kv[1])}"
+
+
+def _defined_private_names(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+
+
+def _referenced_names(node: ast.stmt) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_module_level_private_name_is_referenced():
+    # A private name that no other top-level statement of the package uses
+    # is a leftover: its last caller is gone.
+    statements = [
+        (path.name, node, _referenced_names(node))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    unreferenced = [
+        f"{module}: {name}"
+        for module, node, _ in statements
+        for name in _defined_private_names(node)
+        if not any(name in refs for _, other, refs in statements if other is not node)
+    ]
+    assert not unreferenced, f"unreferenced private names: {unreferenced}"

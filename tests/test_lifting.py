@@ -1,11 +1,13 @@
 import random
-from itertools import product
+import time
+from itertools import islice, product
 
 from conftest import AVARS
 from seplift.catalog import CURATED_SUITE, make_form
 from seplift.heap import EMPTY_HEAP, cells
 from seplift.layout import compute_layout
 from seplift.lifting import (
+    _BASE_TEMPLATES,
     CounterexamplePackage,
     _template_instances,
     balloon_criterion,
@@ -84,15 +86,14 @@ def test_shadow_criterion():
 
 
 def test_balloon_criterion():
-    result = balloon_criterion(compute_layout(BALLOON))
-    assert result.subset == frozenset({"b"})
+    assert balloon_criterion(compute_layout(BALLOON)) == frozenset({"b"})
     # one occurrence of assertion variables per conjunct and disjunct in
     # total: the whole variable set qualifies
     spread = make_form(
         [("true", "a"), ("true", "b")], [("true", "a"), ("true", "b")]
     )
-    assert balloon_criterion(compute_layout(spread)).subset == frozenset({"a", "b"})
-    assert balloon_criterion(compute_layout(FAN)).subset is None
+    assert balloon_criterion(compute_layout(spread)) == frozenset({"a", "b"})
+    assert balloon_criterion(compute_layout(FAN)) is None
 
 
 def test_lonely_criterion():
@@ -268,11 +269,11 @@ def test_verify_package_rejects_tampering():
     assert not verify_package(bad)
 
 
-def test_balloon_undecided_beyond_subset_budget():
+def test_balloon_decides_seventeen_variables():
     # every variable labels a solid edge (doubled conjunct vs single
     # disjunct), so the shadow criterion fails; a bare extra conjunct makes
-    # every edge from it dashed, so lonely fails too, leaving the subset
-    # search as the only hope, and 17 variables exceed its budget
+    # every edge from it dashed, so lonely fails too; and no variable can
+    # join a balloon subset, since each occurs twice in a conjunct
     names = [f"v{i:02d}" for i in range(17)]
     conjuncts = (
         Clause(parse("true"), ()),
@@ -280,9 +281,80 @@ def test_balloon_undecided_beyond_subset_budget():
     )
     disjuncts = tuple(Clause(parse("true"), (n,)) for n in names)
     form = ImplicationForm(conjuncts, disjuncts)
-    result = balloon_criterion(compute_layout(form))
-    assert result.undecided and result.subset is None
-    assert lift_check(form).result == "undecided"
+    assert balloon_criterion(compute_layout(form)) is None
+    assert lift_check(form).result == "no_guarantee"
+
+
+def test_balloon_decides_padded_layout():
+    # BALLOON with x00..x14 once in conjunct 2 and once in disjunct 1
+    pad = " ".join(f"x{k:02d}" for k in range(15))
+    form = make_form(
+        [("true", "a"), ("true", f"a b {pad}")], [("true", f"a b {pad}"), ("true", "")]
+    )
+    g = compute_layout(form)
+    assert len(g.variables) == 17
+    assert not shadow_criterion(g)[0] and not lonely_criterion(g)
+    assert lift_check(form).describe() == "LIFTS (Balloon {b})"
+
+
+def test_balloon_decides_forty_variables_quickly():
+    # four groups of ten variables, one conjunct per group; each group's two
+    # disjuncts share only the group's last variable, so the only subset
+    # that takes one variable per conjunct picks those four.  The empty
+    # disjunct defeats shadow; dropping the shared variable from the last
+    # group's first disjunct leaves no subset at all.
+    def layout(shared_in_last_group: bool) -> ImplicationForm:
+        groups = [[f"x{k:02d}" for k in range(10 * g, 10 * g + 10)] for g in range(4)]
+        disjuncts = []
+        for g, names in enumerate(groups):
+            first = names[:5] + ([names[-1]] if shared_in_last_group or g < 3 else [])
+            disjuncts += [("true", " ".join(first)), ("true", " ".join(names[5:]))]
+        return make_form(
+            [("true", " ".join(names)) for names in groups], disjuncts + [("true", "")]
+        )
+
+    # ten disjuncts of four interchangeable variables each, and two more
+    # whose only variables share a conjunct: a search that tried every one
+    # of the 4**10 choices before meeting that clash would take seconds
+    blocks = [" ".join(f"x{k:02d}" for k in range(4 * b, 4 * b + 4)) for b in range(10)]
+    clash = make_form(
+        [("true", block) for block in blocks] + [("true", "y z")],
+        [("true", block) for block in blocks] + [("true", "y"), ("true", "z"), ("true", "")],
+    )
+
+    start = time.perf_counter()
+    verdicts = [lift_check(form) for form in (layout(True), layout(False), clash)]
+    elapsed = time.perf_counter() - start
+    assert verdicts[0].describe() == "LIFTS (Balloon {x09,x19,x29,x39})"
+    assert [v.result for v in verdicts[1:]] == ["no_guarantee", "no_guarantee"]
+    assert elapsed < 1.0  # a few milliseconds on a 2-vCPU host
+
+
+def test_template_instances_order():
+    # by template-index sum, then lexicographically, on layouts of 1-4 slots
+    for form in (LONELY, make_form([("true", "a")], []), FAN, BRIDGE):
+        g = compute_layout(form)
+        slots = g.conjunct_count + g.disjunct_count
+        expected = sorted(product(range(5), repeat=slots), key=lambda a: (sum(a), a))
+        assert [
+            (*(c.base for c in f.conjuncts), *(d.base for d in f.disjuncts))
+            for f in _template_instances(g)
+        ] == [tuple(_BASE_TEMPLATES[t] for t in a) for a in expected]
+
+
+def test_template_instances_are_lazy():
+    # one slot per clause: 18 conjuncts and 17 disjuncts, 5**35 choices
+    wide = make_form(
+        [("true", f"v{k:02d}") for k in range(18)],
+        [("true", f"v{k:02d}") for k in range(17)],
+    )
+    g = compute_layout(wide)
+    assert g.conjunct_count + g.disjunct_count == 35
+    start = time.perf_counter()
+    first = list(islice(_template_instances(g), 3))
+    assert time.perf_counter() - start < 1.0
+    assert [c.base for c in first[0].conjuncts] == [TrueLit()] * 18
+    assert first[1].disjuncts[-1].base == _BASE_TEMPLATES[1]
 
 
 def test_curated_suite_expectations():

@@ -107,8 +107,21 @@ def test_parse_relation_keyword_forms_check_arity():
     assert parse_relation("TOP(2)", arity=2) == top(2)
     assert parse_relation("EMPTY(1)", arity=1) == empty(1)
     for literal in ("TOP(1)", "EMPTY(1)", "{ ([1|->0]) }"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has arity 1, expected 2"):
             parse_relation(literal, arity=2)
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("{ ([1|->0]), ([1|->0], []) }", "mixed tuple arities"),
+        ("TOP(x)", "malformed relation literal 'TOP\\(x\\)'"),
+        ("EMPTY()", "malformed relation literal"),
+    ],
+)
+def test_parse_relation_names_what_is_malformed(literal, message):
+    with pytest.raises(ValueError, match=message):
+        parse_relation(literal)
 
 
 @settings(max_examples=40)

@@ -171,6 +171,15 @@ def test_coupling_must_bind_every_declared_variable():
         parse_scenario(text)
 
 
+def test_coupling_relation_errors_name_the_variable():
+    text = _goodbad_with_coupling_line("  a: { ([1:0],[]), ([1:1],[]), ([1:2],[]) }", "  a: { ([1:0]) }")
+    with pytest.raises(ValueError, match="coupling 'a': .* has arity 1, expected 2"):
+        parse_scenario(text)
+    text = _goodbad_with_coupling_line("  b: { ([],[1:0]), ([],[1:1]), ([],[1:2]) }", "  b: TOP(two)")
+    with pytest.raises(ValueError, match="coupling 'b': malformed relation literal 'TOP"):
+        parse_scenario(text)
+
+
 def test_scenario_without_coupling_section_still_parses():
     # A proof can be checked without couplings; only validity needs them.
     scenario = parse_scenario("avars: a\nclient: skip\npre: a\npost: a\n")
