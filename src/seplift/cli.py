@@ -14,6 +14,7 @@ import json
 import sys
 
 from .heap import format_heap
+from .hoare import check_proof, two_validity_test
 from .layout import compute_layout, to_dot
 from .lifting import (
     CounterexamplePackage,
@@ -23,15 +24,15 @@ from .lifting import (
     verify_package,
     witness_search,
 )
-from .normalize import format_implication, reduce_implication, to_simple
+from .normalize import (
+    format_implication,
+    reduce_implication,
+    simple_assertion,
+    to_simple,
+)
 from .relations import format_relation
 from .scenarios import DEMO_NAMES, demo, parse_scenario
-from .semantics import (
-    SearchBudget,
-    ValueDomain,
-    find_counter_env,
-    pc_check,
-)
+from .semantics import SearchBudget, find_counter_env, pc_check
 from .syntax import ParseError, UnboundVariable, parse_assertion_file, pretty
 
 _EXIT_OK = 0
@@ -57,10 +58,6 @@ def _budget(args) -> SearchBudget:
         max_generators=args.gens,
         max_heap_size=args.heap_size,
     )
-
-
-def _domain(args) -> ValueDomain:
-    return ValueDomain(tuple(args.vals), tuple(range(1, args.locs + 1)))
 
 
 def _load_assertion_file(path: str):
@@ -116,8 +113,6 @@ def _cmd_normalize(args, out: _Output) -> int:
             out.emit({"input": pretty(a), "simple": None}, "NOT SIMPLE")
             status = _EXIT_NEGATIVE
         else:
-            from .normalize import simple_assertion
-
             text = pretty(simple_assertion(simple))
             out.emit({"input": pretty(a), "simple": text}, text)
     return status
@@ -226,7 +221,7 @@ def _cmd_pc(args, out: _Output) -> int:
     doc = _first_implication(args.file)
     _, _, family = _reduced_family(doc, args.file)
     budget = _budget(args)
-    dom = _domain(args)
+    dom = budget.domain()
     all_hold = True
     for form in family:
         verdict = pc_check(form, doc.eta, budget, dom)
@@ -241,8 +236,6 @@ def _cmd_pc(args, out: _Output) -> int:
 
 
 def _cmd_prove(args, out: _Output) -> int:
-    from .hoare import check_proof
-
     with open(args.file, encoding="utf-8") as fh:
         scenario = parse_scenario(fh.read())
     verdict = check_proof(
@@ -258,11 +251,10 @@ def _cmd_prove(args, out: _Output) -> int:
 
 
 def _cmd_validity(args, out: _Output) -> int:
-    from .hoare import two_validity_test
-
     with open(args.file, encoding="utf-8") as fh:
         scenario = parse_scenario(fh.read())
-    dom = _domain(args)
+    budget = _budget(args)
+    dom = budget.domain()
     verdict = two_validity_test(
         scenario.gamma,
         scenario.modules(),
@@ -271,7 +263,7 @@ def _cmd_validity(args, out: _Output) -> int:
         scenario.pre,
         scenario.client,
         scenario.post,
-        _budget(args),
+        budget,
         dom,
     )
     bound = {"vals": list(dom.values), "locs": list(dom.locations)}

@@ -29,8 +29,7 @@ violation exists under some frame exactly when one exists under the empty
 frame.  Inputs whose cell values leave the budget are skipped; outputs are
 judged against the full interpretation domain, so couplings should be
 encoded over a domain closed under one operation step.  An error outcome on
-either side is a violation.  Within one triple check each implementation
-runs once per distinct input heap.
+either side is a violation.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from .heap import EMPTY_HEAP, Heap
+from .heap import Heap
 from .lifting import chk
 from .relations import member
 from .semantics import (
@@ -463,16 +462,14 @@ def _check_implication(lhs, rhs, budget, eta, path, gated):
 class Violation:
     location: str  # a module operation name, or "client"
     inputs: tuple[Heap, Heap]
-    frame: tuple[Heap, Heap]  # always the empty pair: the empty frame decides
     outputs: tuple  # Heap or ERR on each side
     reason: str
 
     def describe(self) -> str:
         out1, out2 = self.outputs
         return (
-            f"{self.location}: inputs ({self.inputs[0]}, {self.inputs[1]}) with "
-            f"frame ({self.frame[0]}, {self.frame[1]}) produced "
-            f"({out1}, {out2}): {self.reason}"
+            f"{self.location}: inputs ({self.inputs[0]}, {self.inputs[1]}) "
+            f"produced ({out1}, {out2}): {self.reason}"
         )
 
 
@@ -595,9 +592,6 @@ def _within_budget(h: Heap, budget: SearchBudget) -> bool:
     )
 
 
-_NO_FRAME = (EMPTY_HEAP, EMPTY_HEAP)
-
-
 def _check_binary_triple(
     location, pre, run1, run2, post, rho, eta, budget, dom
 ):
@@ -605,24 +599,17 @@ def _check_binary_triple(
     violation and the number of pairs run."""
     pre_rel = interpret(pre, eta, rho, 2, dom)
     post_rel = interpret(post, eta, rho, 2, dom)
-    outs1: dict[Heap, Heap | _ErrType] = {}
-    outs2: dict[Heap, Heap | _ErrType] = {}
     checked = 0
     for g1, g2 in pre_rel.sorted_generators():
         if not (_within_budget(g1, budget) and _within_budget(g2, budget)):
             continue
         checked += 1
-        out1 = outs1.get(g1)
-        if out1 is None:
-            out1 = outs1[g1] = run1(g1)
-        out2 = outs2.get(g2)
-        if out2 is None:
-            out2 = outs2[g2] = run2(g2)
+        out1, out2 = run1(g1), run2(g2)
         if out1 is ERR or out2 is ERR:
             reason = "execution faulted"
         elif not member(post_rel, (out1, out2)):
-            reason = "outputs leave the postcondition with this frame"
+            reason = "outputs leave the postcondition"
         else:
             continue
-        return Violation(location, (g1, g2), _NO_FRAME, (out1, out2), reason), checked
+        return Violation(location, (g1, g2), (out1, out2), reason), checked
     return None, checked

@@ -77,41 +77,20 @@ NO_GUARANTEE_NOTE = (
 )
 
 
-def _stable_vars(g: LayoutGraph) -> list[int]:
-    """Indices of variables whose count never changes across a solid edge."""
-    stable = []
-    for v in range(len(g.variables)):
-        if all(
-            g.pi[i][v] == g.omega[j][v]
-            for i in range(g.conjunct_count)
-            for j in range(g.disjunct_count)
-            if g.edge(i, j).solid
-        ):
-            stable.append(v)
-    return stable
-
-
-def shadow_criterion(g: LayoutGraph) -> tuple[bool, tuple[str, ...]]:
-    """Both shadow conditions, with diagnostics naming the first failure."""
-    stable = set(_stable_vars(g))
-    for i in range(g.conjunct_count):
-        for j in range(g.disjunct_count):
-            edge = g.edge(i, j)
-            if edge.solid:
-                continue
-            if not any(
-                v in stable and g.pi[i][v] < g.omega[j][v]
-                for v in range(len(g.variables))
-            ):
-                return False, (
-                    f"dashed edge ({i + 1},{j + 1}) has no label off all solid edges",
-                )
-    for j in range(g.disjunct_count):
-        if not any(v in stable and g.omega[j][v] > 0 for v in range(len(g.variables))):
-            return False, (
-                f"disjunct {j + 1} has no occurrence of a variable off all solid edges",
-            )
-    return True, ()
+def shadow_criterion(g: LayoutGraph) -> bool:
+    """Let `solid_labels` be the union of the labels on solid edges.  The
+    criterion holds when every dashed edge has a label outside `solid_labels`
+    and every disjunct has a variable with a positive count outside it."""
+    solid_labels = {v for row in g.edges for e in row if e.solid for v in e.labels}
+    return all(
+        not solid_labels.issuperset(e.labels)
+        for row in g.edges
+        for e in row
+        if not e.solid
+    ) and all(
+        any(count and v not in solid_labels for v, count in zip(g.variables, row))
+        for row in g.omega
+    )
 
 
 def _mask(flags) -> int:
@@ -177,7 +156,6 @@ class LiftVerdict:
     result: str  # "lifts" | "no_guarantee"
     criterion: str | None = None
     balloon_subset: frozenset[str] | None = None
-    diagnostics: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.result == "lifts"
@@ -193,16 +171,14 @@ class LiftVerdict:
 
 def _layout_verdict(g: LayoutGraph) -> LiftVerdict:
     """Check the criteria in the fixed order shadow, balloon, lonely."""
-    shadow_ok, shadow_diag = shadow_criterion(g)
-    if shadow_ok:
+    if shadow_criterion(g):
         return LiftVerdict("lifts", "shadow")
     subset = balloon_criterion(g)
     if subset is not None:
         return LiftVerdict("lifts", "balloon", subset)
     if lonely_criterion(g):
         return LiftVerdict("lifts", "lonely")
-    no_balloon = ("no subset satisfies all three conditions", NO_GUARANTEE_NOTE)
-    return LiftVerdict("no_guarantee", None, None, shadow_diag + no_balloon)
+    return LiftVerdict("no_guarantee")
 
 
 def lift_check(form: ImplicationForm) -> LiftVerdict:

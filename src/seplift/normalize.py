@@ -17,10 +17,11 @@ conjunctive normal form, the family is the product of left disjuncts and
 right CNF clauses, and right-hand clauses mentioning variables absent from
 the left are dropped (an empty remainder means the right-hand side is false).
 
-Whether a subtree is variable-free is decided once per node: ``to_simple``
-first marks, in one pass, the nodes that hold an assertion variable, and the
-rewrite looks each node up in that set instead of walking the node's subtree
-again.
+``to_simple`` walks the assertion once.  A subtree without assertion
+variables comes back whole, and the nearest node above it that holds a
+variable takes it apart only as far as the rewrite needs: ``\\/`` splits,
+``false`` has no disjunct, ``true`` is the empty clause, and anything else is
+one base.
 """
 
 from __future__ import annotations
@@ -137,12 +138,15 @@ class _Blowup(Exception):
 
 _VARIABLE_FREE = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom, TrueLit, FalseLit)
 
+# What `_norm` returns for a subtree that holds no assertion variable.
+_FREE = object()
+
 
 def to_simple(phi: Assertion) -> SimpleAssertion | None:
-    held: set[int] = set()
-    _mark_var_holders(phi, held)
     try:
-        dnf = _norm(phi, held)
+        dnf = _norm(phi)
+        if dnf is _FREE:
+            dnf = _free_dnf(phi)
     except _Blowup:
         return None
     if dnf is None:
@@ -154,65 +158,47 @@ def to_simple(phi: Assertion) -> SimpleAssertion | None:
     return SimpleAssertion(disjuncts)
 
 
-def _mark_var_holders(a: Assertion, held: set[int]) -> bool:
-    """Whether `a` holds an assertion variable; adds to `held` the id of
-    every connective or quantifier node under `a` that holds one."""
-    if isinstance(a, AVar):
-        return True
-    if isinstance(a, (Star, And, Or)):
-        left = _mark_var_holders(a.left, held)
-        right = _mark_var_holders(a.right, held)
-        found = left or right
-    elif isinstance(a, (Forall, Exists)):
-        found = _mark_var_holders(a.body, held)
-    elif isinstance(a, _VARIABLE_FREE):
-        return False
-    else:
-        raise TypeError(f"not an assertion: {a!r}")
-    if found:
-        held.add(id(a))
-    return found
-
-
-def _norm(a: Assertion, held: set[int]) -> list[list[_Builder]] | None:
-    """DNF of `a` as disjuncts -> conjuncts -> builder clauses, or None.
-
-    `held` holds the ids of the connective and quantifier nodes that
-    contain an assertion variable (see `_mark_var_holders`).
-    """
-    if isinstance(a, AVar):
-        return [[((), (a.name,))]]
+def _free_dnf(a: Assertion) -> list[list[_Builder]]:
+    """DNF of a variable-free `a`: ``\\/`` splits, so that a disjunctive
+    operand of * gets distributed; ``false`` has no disjunct, ``true`` is the
+    empty clause, and anything else is one base."""
     if isinstance(a, Or):
-        # Disjunctions split even when variable-free, so that e.g. a
-        # disjunctive operand of * gets distributed.
-        left = _norm(a.left, held)
-        right = _norm(a.right, held)
-        if left is None or right is None:
-            return None
+        left, right = _free_dnf(a.left), _free_dnf(a.right)
         _check_size(len(left) + len(right))
         return left + right
     if isinstance(a, FalseLit):
         return []
-    if id(a) not in held:
-        if isinstance(a, TrueLit):
-            return [[((), ())]]
-        return [[((a,), ())]]
-    if isinstance(a, And):
-        left = _norm(a.left, held)
-        right = _norm(a.right, held)
+    if isinstance(a, TrueLit):
+        return [[((), ())]]
+    return [[((a,), ())]]
+
+
+def _norm(a: Assertion) -> list[list[_Builder]] | object | None:
+    """DNF of `a` as disjuncts -> conjuncts -> builder clauses, `_FREE` when
+    `a` holds no assertion variable, or None when it has no simple form."""
+    if isinstance(a, AVar):
+        return [[((), (a.name,))]]
+    if isinstance(a, _VARIABLE_FREE):
+        return _FREE
+    if isinstance(a, (Or, And, Star)):
+        left, right = _norm(a.left), _norm(a.right)
         if left is None or right is None:
             return None
+        if left is _FREE and right is _FREE:
+            return _FREE
+        if left is _FREE:
+            left = _free_dnf(a.left)
+        if right is _FREE:
+            right = _free_dnf(a.right)
+        if isinstance(a, Or):
+            _check_size(len(left) + len(right))
+            return left + right
         _check_size(len(left) * len(right))
-        return [lc + rc for lc in left for rc in right]
-    if isinstance(a, Star):
-        left = _norm(a.left, held)
-        right = _norm(a.right, held)
-        if left is None or right is None:
-            return None
+        if isinstance(a, And):
+            return [lc + rc for lc in left for rc in right]
         # * distributes over \/ but not over /\: each side must contribute a
         # single clause per disjunct.
         out: list[list[_Builder]] = []
-        _check_size(len(left) * len(right))
         for lc in left:
             if len(lc) != 1:
                 return None
@@ -223,7 +209,9 @@ def _norm(a: Assertion, held: set[int]) -> list[list[_Builder]] | None:
                 out.append([(lb + rb, lv + rv)])
         return out
     if isinstance(a, Exists):
-        body = _norm(a.body, held)
+        body = _norm(a.body)
+        if body is _FREE:
+            return _FREE
         if body is None or len(body) != 1 or len(body[0]) != 1:
             # Pulling EX out of /\ or \/ is not among the permitted laws.
             return None
@@ -233,7 +221,7 @@ def _norm(a: Assertion, held: set[int]) -> list[list[_Builder]] | None:
         return [[((Exists(a.var, star_all(list(bases))),), avars)]]
     if isinstance(a, Forall):
         # * does not distribute over ALL, so variables under ALL are stuck.
-        return None
+        return _FREE if _norm(a.body) is _FREE else None
     raise TypeError(f"not an assertion: {a!r}")
 
 

@@ -26,6 +26,10 @@ an annotated client proof.  The file format is line-oriented::
       inc
       {a}
 
+A section header starts at the beginning of its line, and the lines under it
+are indented.  An operation under ``impl1:`` or ``impl2:``, and a variable
+under ``coupling:``, may be given only once.
+
 Proofs are straight lines of commands with an assertion between every two
 statements; two consecutive assertion lines mark a consequence step.  The
 builder assembles the corresponding derivation; richer derivations (frame,
@@ -306,19 +310,22 @@ _SECTIONS = (
 def parse_scenario(text: str) -> Scenario:
     sections: dict[str, list[str]] = {name: [] for name in _SECTIONS}
     current: str | None = None
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
         head, _, tail = line.partition(":")
         key = head.strip()
-        if key in _SECTIONS and (head == line or not line.startswith(" ")):
+        indented = line[0].isspace()
+        if key in _SECTIONS and not indented:
             current = key
             if tail.strip():
                 sections[current].append(tail.strip())
             continue
-        if current is None:
-            raise ValueError(f"content before any section header: {raw!r}")
+        if current is None or not indented:
+            raise ValueError(
+                f"line {number}: expected a section header ({', '.join(_SECTIONS)})"
+            )
         sections[current].append(line.strip())
 
     avars: frozenset[str] = frozenset()
@@ -330,15 +337,14 @@ def parse_scenario(text: str) -> Scenario:
     gamma = make_context(
         [_parse_triple(line, avars) for line in sections["context"]]
     )
-    impl1 = _parse_impl(sections["impl1"])
-    impl2 = _parse_impl(sections["impl2"])
+    impl1 = {n: parse_command(b) for n, b in _named_lines(sections, "impl1").items()}
+    impl2 = {n: parse_command(b) for n, b in _named_lines(sections, "impl2").items()}
     coupling = {}
-    for line in sections["coupling"]:
-        name, _, literal = line.partition(":")
+    for name, literal in _named_lines(sections, "coupling").items():
         try:
-            coupling[name.strip()] = parse_relation(literal.strip(), arity=2)
+            coupling[name] = parse_relation(literal, arity=2)
         except ValueError as err:
-            raise ValueError(f"coupling {name.strip()!r}: {err}") from None
+            raise ValueError(f"coupling {name!r}: {err}") from None
     _check_coupling(coupling, avars)
     client = parse_command(" ".join(sections["client"]))
     pre = parse(" ".join(sections["pre"]), avars)
@@ -380,12 +386,16 @@ def _parse_triple(line: str, avars: frozenset[str]) -> Triple:
     return Triple(pre, name.strip(), parse(post_part[:-1], avars))
 
 
-def _parse_impl(lines: list[str]) -> dict[str, Command]:
-    impl: dict[str, Command] = {}
-    for line in lines:
-        name, _, body = line.partition(":")
-        impl[name.strip()] = parse_command(body.strip())
-    return impl
+def _named_lines(sections: dict[str, list[str]], section: str) -> dict[str, str]:
+    """The ``name: text`` lines of a section; a repeated name is an error."""
+    named: dict[str, str] = {}
+    for line in sections[section]:
+        name, _, text = line.partition(":")
+        name = name.strip()
+        if name in named:
+            raise ValueError(f"{section}: {name!r} is given twice")
+        named[name] = text.strip()
+    return named
 
 
 # --- packaged demos ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from seplift.heap import Heap
 from seplift.hoare import IfCmd, LetRead, SeqCmd, Skip, Write
 from seplift.relations import GenRel, delta, empty, meet, star, top, union
 from seplift.scenarios import Scenario, parse_scenario
-from seplift.semantics import _prim_unary
 from seplift.syntax import (
     Add,
     AVar,
@@ -180,6 +180,51 @@ def heap_splits(h: Heap) -> list[tuple[Heap, Heap]]:
 
 _NAIVE_PRIMITIVES = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)
 
+_NAIVE_COMPARISONS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def naive_expr(e, eta: dict) -> int:
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, VarRef):
+        if e.name not in eta:
+            raise UnboundVariable(f"normal variable {e.name!r} is unbound")
+        return eta[e.name]
+    if isinstance(e, Add):
+        return naive_expr(e.left, eta) + naive_expr(e.right, eta)
+    if isinstance(e, SubExpr):
+        return naive_expr(e.left, eta) - naive_expr(e.right, eta)
+    if isinstance(e, Neg):
+        return -naive_expr(e.operand, eta)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def naive_primitive(prim, eta: dict, dom) -> GenRel:
+    """The unary meaning of a primitive predicate.  A cell at a non-positive
+    address denotes nothing, and its value is then never evaluated."""
+    if isinstance(prim, BoolAtom):
+        compare = _NAIVE_COMPARISONS[prim.op]
+        holds = compare(naive_expr(prim.left, eta), naive_expr(prim.right, eta))
+        return top(1) if holds else empty(1)
+    if isinstance(prim, NonEmptyHeap):
+        cells = [(loc, v) for loc in dom.locations for v in dom.values]
+    else:
+        loc = naive_expr(prim.addr, eta)
+        if loc <= 0:
+            return empty(1)
+        if isinstance(prim, PointsToAny):
+            cells = [(loc, v) for v in dom.values]
+        else:
+            cells = [(loc, naive_expr(prim.value, eta))]
+    return GenRel(1, [(Heap({loc: v}),) for loc, v in cells])
+
 
 def _naive_bind(eta_key, var, value):
     return tuple(sorted((dict(eta_key) | {var: value}).items()))
@@ -188,7 +233,7 @@ def _naive_bind(eta_key, var, value):
 def naive_interpret(phi, eta_key, rho, n, dom) -> GenRel:
     """The n-ary meaning of `phi`; `eta_key` is a sorted tuple of bindings."""
     if isinstance(phi, _NAIVE_PRIMITIVES):
-        return delta(n, _prim_unary(phi, eta_key, dom))
+        return delta(n, naive_primitive(phi, dict(eta_key), dom))
     if isinstance(phi, AVar):
         if rho is None or phi.name not in rho:
             raise UnboundVariable(f"assertion variable {phi.name!r} is unbound")

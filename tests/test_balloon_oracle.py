@@ -1,10 +1,15 @@
-"""The balloon criterion against plain subset enumeration.
+"""The shadow and balloon criteria against direct readings on counts.
 
 `lifting.balloon_criterion` decides the criterion as an exact cover of the
-non-empty disjuncts.  The oracle below is the direct reading of the three
-conditions: it tries every variable subset by size, then lexicographically,
-and returns the first that passes.  The two must agree on which subset they
-report, not only on whether one exists.
+non-empty disjuncts.  The balloon oracle below is the direct reading of the
+three conditions: it tries every variable subset by size, then
+lexicographically, and returns the first that passes.  The two must agree on
+which subset they report, not only on whether one exists.
+
+`lifting.shadow_criterion` reads the layout's edge labels.  The shadow oracle
+reads only the count vectors: a variable is stable when its count is equal
+at both ends of every solid edge, every dashed edge needs a stable variable
+whose count rises along it, and every disjunct a stable variable it counts.
 """
 
 import random
@@ -12,9 +17,30 @@ from itertools import combinations
 
 from seplift.catalog import CURATED_SUITE
 from seplift.layout import LayoutGraph, compute_layout
-from seplift.lifting import balloon_criterion
+from seplift.lifting import balloon_criterion, shadow_criterion
 from seplift.normalize import Clause, ImplicationForm
 from seplift.syntax import TrueLit
+
+
+def naive_shadow_criterion(g: LayoutGraph) -> bool:
+    solid = [
+        (i, j)
+        for i in range(g.conjunct_count)
+        for j in range(g.disjunct_count)
+        if all(p >= o for p, o in zip(g.pi[i], g.omega[j]))
+    ]
+    stable = [
+        v
+        for v in range(len(g.variables))
+        if all(g.pi[i][v] == g.omega[j][v] for i, j in solid)
+    ]
+    dashed_ok = all(
+        any(g.pi[i][v] < g.omega[j][v] for v in stable)
+        for i in range(g.conjunct_count)
+        for j in range(g.disjunct_count)
+        if (i, j) not in solid
+    )
+    return dashed_ok and all(any(row[v] > 0 for v in stable) for row in g.omega)
 
 
 def naive_balloon_criterion(g: LayoutGraph) -> frozenset[str] | None:
@@ -83,6 +109,22 @@ def test_balloon_matches_subset_enumeration_on_generated_layouts():
         assert balloon_criterion(g) == subset, g
         hits += subset is not None
     assert hits >= 500  # the sample exercises the search, not just refusals
+
+
+def test_shadow_matches_count_reading_on_generated_layouts():
+    rng = random.Random(20261018)
+    answers = []
+    for _ in range(3000):
+        g = _random_layout(rng)
+        answers.append(naive_shadow_criterion(g))
+        assert shadow_criterion(g) is answers[-1], g
+    assert 300 <= sum(answers) <= 2700  # both answers are well represented
+
+
+def test_shadow_matches_count_reading_on_curated_suite():
+    for entry in CURATED_SUITE:
+        g = compute_layout(entry.form)
+        assert shadow_criterion(g) is naive_shadow_criterion(g), entry.name
 
 
 def test_balloon_matches_subset_enumeration_on_curated_suite():

@@ -265,3 +265,9 @@ def test_scenario_header_commands(capsys, monkeypatch, argv, expected):
     code = main(argv)
     capsys.readouterr()
     assert code == expected
+
+
+def test_prove_on_a_file_without_scenario_sections_exits_two(capsys):
+    code = main(["prove", str(SCENARIOS / "fan.imp")])
+    assert code == 2
+    assert "line 3: expected a section header (avars, env, " in capsys.readouterr().err

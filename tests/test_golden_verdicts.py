@@ -6,8 +6,9 @@ to the number of input pairs checked shows up here.  The counter's -2..2
 text later gained the note on output values outside the domain.  The pass
 counts changed once, when 2-validity stopped running frames: they now count
 precondition generator pairs (18 and 9), where they counted input/frame
-pairs (4,608 and 2,304); the violation texts, frames included, did not
-change.
+pairs (4,608 and 2,304); the violation texts did not change.  Later the
+violation texts lost "with frame ([], [])" and "with this frame": every
+violation is found at the empty frame, so naming it said nothing.
 """
 
 import pytest
@@ -22,8 +23,8 @@ BAD_PROOF = (
     "1 |-> _ * a \\/ 1 |-> _ * b: a family member fails the criteria"
 )
 BAD_VALIDITY = (
-    "client violation: client: inputs ([1|->0], [1|->0]) with frame ([], []) "
-    "produced ([1|->1], [1|->2]): outputs leave the postcondition with this frame"
+    "client violation: client: inputs ([1|->0], [1|->0]) "
+    "produced ([1|->1], [1|->2]): outputs leave the postcondition"
 )
 # The demo report texts are pinned in test_scenarios.py.
 
@@ -39,8 +40,8 @@ GOLDEN = [
         (-2, -1, 0, 1, 2),
         ACCEPTED,
         "context triple 'inc' does not preserve the coupling: inc: inputs "
-        "([1|->2], [1|->2]) with frame ([], []) produced ([1|->3], [1|->3]): "
-        "outputs leave the postcondition with this frame; output value 3 lies "
+        "([1|->2], [1|->2]) produced ([1|->3], [1|->3]): "
+        "outputs leave the postcondition; output value 3 lies "
         "outside the value domain {-2, -1, 0, 1, 2}, so the violation may come "
         "from the bound",
     ),

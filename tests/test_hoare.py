@@ -334,12 +334,11 @@ def test_check_proof_reflexive_gate_still_evaluates():
 
 def test_violation_notes_output_values_outside_the_domain():
     dom = ValueDomain((0, 1), (1, 2))
-    base = "outputs leave the postcondition with this frame"
-    frame = (EMPTY_HEAP, EMPTY_HEAP)
+    base = "outputs leave the postcondition"
     inputs = (heap((1, 0)), heap((1, 1)))
 
     def note(outputs, reason=base):
-        violation = hoare.Violation("op", inputs, frame, outputs, reason)
+        violation = hoare.Violation("op", inputs, outputs, reason)
         return hoare._note_values_outside(violation, dom).reason
 
     assert note((heap((1, 3), (2, 1)), heap((1, -1)))) == (

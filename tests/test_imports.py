@@ -83,3 +83,15 @@ def test_every_module_level_private_name_is_referenced():
         if not any(name in refs for _, other, refs in statements if other is not node)
     ]
     assert not unreferenced, f"unreferenced private names: {unreferenced}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    # An import inside a function escapes the unused-import check above.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert not nested, f"{path.name}: imports inside functions at lines {nested}"

@@ -138,9 +138,8 @@ demo goodbad: OK
   good runs from [1|->2]: final heaps [1|->2] vs [1|->2]
   bad proof: Rejected at root.seq2.pre: chk failed for 1 |-> _ /\\ a * b |= \
 1 |-> _ * a \\/ 1 |-> _ * b: a family member fails the criteria
-  bad validity: client violation: client: inputs ([1|->0], [1|->0]) with \
-frame ([], []) produced ([1|->1], [1|->2]): outputs leave the postcondition \
-with this frame
+  bad validity: client violation: client: inputs ([1|->0], [1|->0]) \
+produced ([1|->1], [1|->2]): outputs leave the postcondition
   bad runs from [1|->0]: final heaps [1|->1] vs [1|->2]
   bad runs from [1|->1]: final heaps [1|->1] vs [1|->2]
   bad runs from [1|->2]: final heaps [1|->1] vs [1|->2]"""
@@ -184,3 +183,53 @@ def test_scenario_without_coupling_section_still_parses():
     # A proof can be checked without couplings; only validity needs them.
     scenario = parse_scenario("avars: a\nclient: skip\npre: a\npost: a\n")
     assert scenario.coupling == {}
+
+
+@pytest.mark.parametrize(
+    "section, anchor, extra, name",
+    [
+        ("impl1", "  nxt: skip\n", "  inc: skip\n", "inc"),
+        ("impl2", "  fin: let y=[1] in [1] := -y\n", "  inc: skip\n", "inc"),
+        ("coupling", "coupling:\n", "  a: { ([1:0],[1:0]) }\n", "a"),
+    ],
+    ids=["impl1", "impl2", "coupling"],
+)
+def test_repeated_name_in_a_section_is_an_error(section, anchor, extra, name):
+    # Unchecked, counter.scn with an extra "inc: skip" under each
+    # implementation passed validity for a program the file does not list.
+    text = (SCENARIO_DIR / "counter.scn").read_text()
+    assert text.count(anchor) == 1
+    with pytest.raises(ValueError, match=f"^{section}: '{name}' is given twice$"):
+        parse_scenario(text.replace(anchor, anchor + extra))
+
+
+def test_unindented_line_outside_a_section_header_is_an_error():
+    text = "avars: a\nclient: skip\n  # indented comment\n\nskip\npre: a\n"
+    with pytest.raises(ValueError, match=r"^line 5: expected a section header \(avars, env, "):
+        parse_scenario(text)
+    with pytest.raises(ValueError, match="^line 1: expected a section header"):
+        parse_scenario("  skip\navars: a\n")
+
+
+def test_indented_line_naming_a_section_is_content():
+    # A proof step calling an operation named like a section stays a step.
+    text = """\
+avars: a
+context:
+  {a} post {a}
+impl1:
+  post: skip
+impl2:
+  post: skip
+client: post
+pre: a
+post: a
+proof:
+  {a}
+  post
+  {a}
+"""
+    scenario = parse_scenario(text)
+    assert scenario.impl1 == {"post": Skip()}
+    assert [kind for kind, _ in scenario.proof] == ["assert", "cmd", "assert"]
+    assert check_proof(scenario.gamma, scenario.derivation()).accepted
