@@ -3,8 +3,9 @@
 Subcommands take assertion files (``avars:``/``env:`` headers, one assertion
 or ``LHS |= RHS`` implication per line) or scenario files, and share budget
 flags.  ``--format structured`` emits line-delimited JSON records with stable
-keys; text mode is for humans.  Exit codes: 0 for a positive verdict, 1 for a
-negative one, 2 for input errors.
+keys; text mode is for humans.  The bounded answers of ``search``, ``pc`` and
+``prove`` name their search bound (a ``budget`` key in records).  Exit codes:
+0 for a positive verdict, 1 for a negative one, 2 for input errors.
 """
 
 from __future__ import annotations
@@ -58,6 +59,21 @@ def _budget(args) -> SearchBudget:
         max_generators=args.gens,
         max_heap_size=args.heap_size,
     )
+
+
+def _bound(budget: SearchBudget) -> tuple[dict, str]:
+    """The search bound of a bounded answer, as a record and as text."""
+    record = {
+        "locs": budget.max_loc,
+        "vals": list(budget.values),
+        "gens": budget.max_generators,
+        "heap_size": budget.max_heap_size,
+    }
+    text = (
+        f"locs<={budget.max_loc}, vals={record['vals']}, "
+        f"gens<={budget.max_generators}, heap size<={budget.max_heap_size}"
+    )
+    return record, text
 
 
 def _load_assertion_file(path: str):
@@ -191,17 +207,11 @@ def _cmd_search(args, out: _Output) -> int:
     lhs, rhs = doc.implications[0]
     budget = _budget(args)
     result = find_counter_env(lhs, rhs, doc.eta, args.arity, budget)
-    bound = {
-        "locs": budget.max_loc,
-        "vals": list(budget.values),
-        "gens": budget.max_generators,
-        "heap_size": budget.max_heap_size,
-    }
+    bound, bound_text = _bound(budget)
     if result is None:
         out.emit(
             {"arity": args.arity, "budget": bound, "counterexample": None},
-            f"NONE within budget (locs<={budget.max_loc}, vals={bound['vals']}, "
-            f"gens<={budget.max_generators}, heap size<={budget.max_heap_size}) "
+            f"NONE within budget ({bound_text}) "
             f"at arity {args.arity} (not a validity proof)",
         )
         return _EXIT_OK
@@ -221,6 +231,7 @@ def _cmd_pc(args, out: _Output) -> int:
     doc = _first_implication(args.file)
     _, _, family = _reduced_family(doc, args.file)
     budget = _budget(args)
+    bound, bound_text = _bound(budget)
     dom = budget.domain()
     all_hold = True
     for form in family:
@@ -229,8 +240,10 @@ def _cmd_pc(args, out: _Output) -> int:
             "member": format_implication(form),
             "holds": verdict.holds,
             "detail": verdict.describe(),
+            "budget": bound,
         }
-        out.emit(record, f"PC {verdict.describe()}  [{format_implication(form)}]")
+        text = f"PC {verdict.describe()}  [{format_implication(form)}]"
+        out.emit(record, f"{text} [bound: {bound_text}]")
         all_hold = all_hold and verdict.holds
     return _EXIT_OK if all_hold else _EXIT_NEGATIVE
 
@@ -238,15 +251,16 @@ def _cmd_pc(args, out: _Output) -> int:
 def _cmd_prove(args, out: _Output) -> int:
     with open(args.file, encoding="utf-8") as fh:
         scenario = parse_scenario(fh.read())
-    verdict = check_proof(
-        scenario.gamma, scenario.derivation(), _budget(args), scenario.eta
-    )
+    budget = _budget(args)
+    bound, bound_text = _bound(budget)
+    verdict = check_proof(scenario.gamma, scenario.derivation(), budget, scenario.eta)
     record = {
         "accepted": verdict.accepted,
         "node": verdict.node,
         "reason": verdict.reason,
+        "budget": bound,
     }
-    out.emit(record, verdict.describe())
+    out.emit(record, f"{verdict.describe()} [bound: {bound_text}]")
     return _EXIT_OK if verdict.accepted else _EXIT_NEGATIVE
 
 
@@ -296,6 +310,16 @@ def _cmd_demo(args, out: _Output) -> int:
     return _EXIT_OK if report.ok else _EXIT_NEGATIVE
 
 
+def _value_list(text: str) -> list[int]:
+    """The `--vals` argument: comma-separated integers, e.g. '-1,0,1'."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seplift",
@@ -309,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--locs", type=int, default=3, help="location bound (1..N)")
     parser.add_argument(
         "--vals",
-        type=lambda s: [int(v) for v in s.split(",") if v.strip()],
+        type=_value_list,
         default=[0],
         help="comma-separated cell/quantifier values, e.g. '0,1'",
     )
@@ -347,9 +371,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_vals(argv: list[str]) -> list[str]:
+    """Spell `--vals -1,0,1` as `--vals=-1,0,1`.
+
+    argparse takes a token starting with '-' for an option, so a value list
+    that opens with a negative number would otherwise be missing its value.
+    A token that `_value_list` rejects is left for argparse to report.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--vals" and _parses_as_value_list(token):
+            out[-1] = f"--vals={token}"
+        else:
+            out.append(token)
+    return out
+
+
+def _parses_as_value_list(token: str) -> bool:
+    try:
+        _value_list(token)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_vals(sys.argv[1:] if argv is None else argv))
     out = _Output(args.format)
     try:
         return args.fn(args, out)

@@ -9,6 +9,15 @@ Internally every heap carries two bitmask fingerprints (one bit per distinct
 (location, value) cell seen so far in the process, one per distinct location),
 which turn compose/merge/extension checks into integer operations.  The bit
 registry is append-only, so fingerprints computed earlier stay valid.
+
+The fingerprints also build the results of ``compose`` and ``merge``: the
+cells of the result are the union of its operands' cells, so its fingerprints
+are the OR of theirs, and its cell tuple is the sorted concatenation of theirs
+(deduplicated for ``merge``).  No registry lookup is needed.  For the same
+reason heap equality compares fingerprints alone: each registry bit names
+exactly one (location, value) cell, so two heaps have equal cell fingerprints
+iff they have equal cell sets.  The hash stays ``hash(cells)``, which does not
+depend on the order in which the process first met each cell.
 """
 
 from __future__ import annotations
@@ -67,10 +76,7 @@ class Heap:
                 raise ValueError(f"heap locations must be positive, got {loc}")
             bits |= _cell_bit(loc, val)
             locmask |= _loc_bit(loc)
-        object.__setattr__(self, "_cells", cells_tuple)
-        object.__setattr__(self, "_bits", bits)
-        object.__setattr__(self, "_locmask", locmask)
-        object.__setattr__(self, "_hash", hash(cells_tuple))
+        _set_slots(self, cells_tuple, bits, locmask)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Heap instances are immutable")
@@ -106,7 +112,7 @@ class Heap:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Heap):
             return NotImplemented
-        return self._bits == other._bits and self._cells == other._cells
+        return self._bits == other._bits
 
     def __hash__(self) -> int:
         return self._hash
@@ -119,6 +125,20 @@ class Heap:
 
     def __str__(self) -> str:
         return format_heap(self)
+
+
+def _set_slots(h: Heap, cells_tuple: tuple[tuple[int, int], ...], bits: int, locmask: int) -> None:
+    object.__setattr__(h, "_cells", cells_tuple)
+    object.__setattr__(h, "_bits", bits)
+    object.__setattr__(h, "_locmask", locmask)
+    object.__setattr__(h, "_hash", hash(cells_tuple))
+
+
+def _from_parts(cells_tuple: tuple[tuple[int, int], ...], bits: int, locmask: int) -> Heap:
+    """A heap from a sorted cell tuple and its already computed fingerprints."""
+    h = object.__new__(Heap)
+    _set_slots(h, cells_tuple, bits, locmask)
+    return h
 
 
 EMPTY_HEAP = Heap()
@@ -147,7 +167,9 @@ def compose(f: Heap, g: Heap) -> Heap | None:
         return g
     if not g._cells:
         return f
-    return Heap(dict(f._cells) | dict(g._cells))
+    return _from_parts(
+        tuple(sorted(f._cells + g._cells)), f._bits | g._bits, f._locmask | g._locmask
+    )
 
 
 def merge(f: Heap, g: Heap) -> Heap | None:
@@ -158,13 +180,14 @@ def merge(f: Heap, g: Heap) -> Heap | None:
     count.
     """
     bits = f._bits | g._bits
-    if bits.bit_count() != (f._locmask | g._locmask).bit_count():
+    locmask = f._locmask | g._locmask
+    if bits.bit_count() != locmask.bit_count():
         return None
-    if not f._cells:
-        return g
-    if not g._cells:
+    if bits == f._bits:
         return f
-    return Heap(dict(f._cells) | dict(g._cells))
+    if bits == g._bits:
+        return g
+    return _from_parts(tuple(sorted(set(f._cells + g._cells))), bits, locmask)
 
 
 def extends(f: Heap, g: Heap) -> bool:

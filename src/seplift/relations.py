@@ -62,18 +62,29 @@ def tuple_merge(s: HeapTuple, t: HeapTuple) -> HeapTuple | None:
 
 
 def tuple_extends(s: HeapTuple, t: HeapTuple) -> bool:
-    return all(extends(f, g) for f, g in zip(s, t))
+    return all(map(extends, s, t))
 
 
 def tuple_sort_key(t: HeapTuple) -> tuple:
     return (sum(len(h) for h in t), tuple(h.sort_key() for h in t))
 
 
+def _cell_count(t: HeapTuple) -> int:
+    return sum(map(len, t))
+
+
 def _minimize(tuples: Iterable[HeapTuple]) -> frozenset[HeapTuple]:
-    pool = list(set(tuples))
-    pool.sort(key=tuple_sort_key)
+    """The minimal elements of `tuples` under componentwise extension.
+
+    The pool is scanned in order of total cell count, and a tuple is kept
+    unless it extends one kept before it.  That is exact: a tuple that
+    strictly extends another has strictly more cells, so every tuple a
+    candidate can extend comes earlier in the scan, and tuples with equal
+    counts extend each other only when they are equal, which the set rules
+    out.
+    """
     kept: list[HeapTuple] = []
-    for cand in pool:
+    for cand in sorted(set(tuples), key=_cell_count):
         if not any(tuple_extends(small, cand) for small in kept):
             kept.append(cand)
     return frozenset(kept)

@@ -92,6 +92,24 @@ def test_pc_subcommand(capsys):
     assert code == 1 and "fails" in out
 
 
+def test_pc_names_its_bound(capsys):
+    good = str(SCENARIOS / "good.imp")
+    code, out = run(capsys, "--vals", "0,1", "--locs", "2", "pc", good)
+    assert code == 0
+    assert out.strip().startswith("PC holds (bounded): ")
+    assert out.strip().endswith(
+        "[1 |-> _ /\\ a * b |= 1 |-> _] "
+        "[bound: locs<=2, vals=[0, 1], gens<=2, heap size<=1]"
+    )
+    code, out = run(
+        capsys, "--format", "structured", "--locs", "2", "--vals", "1,0",
+        "--gens", "3", "--heap-size", "2", "pc", str(SCENARIOS / "fan.imp"),
+    )
+    record = json.loads(out)
+    assert code == 1 and not record["holds"]
+    assert record["budget"] == {"locs": 2, "vals": [0, 1], "gens": 3, "heap_size": 2}
+
+
 def test_graph_subcommand(capsys, tmp_path):
     target = tmp_path / "fan.dot"
     code, _ = run(capsys, "graph", str(SCENARIOS / "fan.imp"), "--out-file", str(target))
@@ -122,6 +140,52 @@ def test_prove_and_validity_subcommands(capsys):
     assert code == 0 and "Accepted" in out
     code, out = run(capsys, "--vals=0,1,2", "validity", str(SCENARIOS / "goodbad_bad.scn"))
     assert code == 1 and "violation" in out
+
+
+def test_prove_names_its_bound(capsys):
+    counter = str(SCENARIOS / "counter.scn")
+    code, out = run(capsys, "--vals=-1,0,1", "prove", counter)
+    assert code == 0
+    assert out.strip() == (
+        "Accepted (relative to the search bound) "
+        "[bound: locs<=3, vals=[-1, 0, 1], gens<=2, heap size<=1]"
+    )
+    code, out = run(
+        capsys, "--format", "structured", "--vals", "0,1,2", "--gens", "1",
+        "prove", str(SCENARIOS / "goodbad_bad.scn"),
+    )
+    record = json.loads(out)
+    assert code == 1 and not record["accepted"]
+    assert record["node"] == "root.seq2.pre"
+    assert record["budget"] == {"locs": 3, "vals": [0, 1, 2], "gens": 1, "heap_size": 1}
+
+
+@pytest.mark.parametrize("value", ["-1,0,1", "-1,,0,1", "-1, 0, 1"])
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("command", ["prove", "validity"])
+def test_vals_list_starting_with_a_negative_number_may_follow_a_space(
+    capsys, fmt, command, value
+):
+    counter = str(SCENARIOS / "counter.scn")
+    joined = run(capsys, "--format", fmt, f"--vals={value}", command, counter)
+    spaced = run(capsys, "--format", fmt, "--vals", value, command, counter)
+    assert joined == spaced
+    assert joined[0] == 0 and "-1, 0, 1" in joined[1]
+
+
+@pytest.mark.parametrize("value", ["-x", "--locs", "x,1", "-1,0.5"])
+def test_vals_followed_by_a_non_list_exits_two(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--vals", value, "prove", str(SCENARIOS / "counter.scn")])
+    assert exc.value.code == 2
+    assert "--vals" in capsys.readouterr().err
+
+
+def test_vals_error_names_the_expected_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--vals=x", "prove", str(SCENARIOS / "counter.scn")])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers, got 'x'" in capsys.readouterr().err
 
 
 def test_demo_subcommand(capsys):

@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import small_heaps
 from seplift.heap import (
@@ -103,6 +103,33 @@ def test_extends_iff_compose_witness(f, g):
         for h in [Heap(dict(pairs)) for pairs in _subsets(g.cells)]
     )
     assert extends(f, g) == witnessed
+
+
+# compose and merge build their results from the operands' fingerprints; the
+# oracle rebuilds each result from its cells through the public constructor.
+@given(small_heaps, small_heaps)
+@example(heap((1, 0), (2, 0)), heap((1, 0), (3, 1)))
+@example(heap((1, 0)), heap((2, 1), (3, 0)))
+def test_compose_and_merge_match_a_heap_rebuilt_from_cells(f, g):
+    rebuilt = Heap(dict(f.cells) | dict(g.cells))
+    for result in (compose(f, g), merge(f, g)):
+        if result is None:
+            continue
+        assert result.cells == rebuilt.cells
+        assert result._bits == rebuilt._bits
+        assert result._locmask == rebuilt._locmask
+        assert hash(result) == hash(rebuilt) == hash(rebuilt.cells)
+
+
+@given(small_heaps, small_heaps)
+@example(heap((1, 0)), heap((1, 0)))
+@example(heap((1, 0)), heap((1, 1)))
+def test_heap_equality_is_cell_tuple_equality(f, g):
+    assert (f == g) == (f.cells == g.cells)
+    # a heap built by compose or merge compares like one built from its cells
+    for h in (compose(f, g), merge(f, g)):
+        if h is not None:
+            assert (h == f) == (h.cells == f.cells)
 
 
 def _subsets(items):

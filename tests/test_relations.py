@@ -1,11 +1,13 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     gen_rels,
     heap_splits,
+    heap_tuples,
     naive_closure,
     naive_extends,
     universe_heaps,
@@ -13,6 +15,7 @@ from conftest import (
 from seplift.heap import EMPTY_HEAP, Heap, cells, heap
 from seplift.relations import (
     GenRel,
+    _minimize,
     delta,
     empty,
     equivalent,
@@ -23,6 +26,7 @@ from seplift.relations import (
     parse_relation,
     star,
     top,
+    tuple_sort_key,
     union,
 )
 
@@ -195,6 +199,23 @@ def test_exactness_star(r, s):
             for u2, v2 in heap_splits(t[1])
         )
         assert member(star_rel, t) == expected
+
+
+def naive_minimize(tuples):
+    """Minimal elements under naive extension, scanned in tuple_sort_key order."""
+    pool = sorted(set(tuples), key=tuple_sort_key)
+    return frozenset(
+        t
+        for i, t in enumerate(pool)
+        if not any(all(map(naive_extends, s, t)) for s in pool[:i])
+    )
+
+
+@given(st.lists(heap_tuples(2), max_size=8))
+@example([(cells(1, 2), EMPTY_HEAP), (cells(1), EMPTY_HEAP), (cells(2), EMPTY_HEAP)])
+@example([(cells(1), cells(2)), (cells(1), EMPTY_HEAP), (EMPTY_HEAP, cells(2))])
+def test_minimize_matches_a_naive_minimal_elements_filter(tuples):
+    assert _minimize(tuples) == naive_minimize(tuples)
 
 
 def test_relation_literals():
