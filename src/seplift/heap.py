@@ -85,9 +85,6 @@ class Heap:
     def cells(self) -> tuple[tuple[int, int], ...]:
         return self._cells
 
-    def dom(self) -> frozenset[int]:
-        return frozenset(loc for loc, _ in self._cells)
-
     def get(self, loc: int) -> int | None:
         for cell_loc, val in self._cells:
             if cell_loc == loc:

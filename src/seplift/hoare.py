@@ -6,13 +6,12 @@ because module implementations need a no-op.  Execution is a total function
 into heaps extended with an error outcome ``ERR`` for absent-cell accesses.
 
 Proofs are explicit derivations over the usual rules (module-call and
-heap-write axioms, frame, existential, sequencing, conditional) plus a rule
-of consequence that is gated twice: the implication must pass ``chk`` (so it
-lifts to the relational reading) and a bounded environment search must find
-no unary counterexample.  Accordingly ``check_proof`` answers Accepted
-relative to the search bound, never unconditionally.  Within one proof a
-repeated implication is gated once: the consequence steps that annotated
-proofs add for every command repeat ``φ |= φ`` many times.
+heap-write axioms, frame, existential, sequencing, conditional), which hold
+in the relational reading as they stand, plus a rule of consequence, the only
+one checked semantically: each implication must pass ``chk`` (so it lifts to
+the relational reading) and a bounded environment search must find no unary
+counterexample.  So ``check_proof`` answers Accepted relative to the search
+bound, never unconditionally.
 
 ``two_validity_test`` checks the binary reading of triples: one client, two
 module implementations built by ``build_modules``, assertion variables
@@ -305,7 +304,7 @@ class IfRule(Derivation):
 
 @dataclass(frozen=True)
 class Consequence(Derivation):
-    """Strengthen the pre and weaken the post, both gated by chk."""
+    """Strengthen the pre and weaken the post, both checked by chk."""
 
     pre: Assertion
     body: Derivation
@@ -373,19 +372,17 @@ def check_proof(
 
     Structural rules are checked syntactically.  Consequence premises are
     checked by chk plus a bounded unary environment search, so acceptance is
-    always relative to that bound.  An implication that recurs in the proof
-    is gated once, at its first occurrence.  Rejection pinpoints the first
-    failing node in depth-first order.
+    always relative to that bound.  Rejection pinpoints the first failing
+    node in depth-first order.
     """
     try:
-        _check(gamma, d, budget, eta, "root", set())
+        _check(gamma, d, budget, eta, "root")
     except _Reject as r:
         return ProofVerdict(False, r.node, r.reason)
     return ProofVerdict(True)
 
 
-def _check(gamma, d, budget, eta, path, gated) -> tuple[Assertion, Command, Assertion]:
-    """Check d; ``gated`` holds the (lhs, rhs) implications already passed."""
+def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
     if isinstance(d, CallAxiom):
         if not any(
             t.name == d.name and t.pre == d.pre and t.post == d.post for t in gamma
@@ -395,16 +392,16 @@ def _check(gamma, d, budget, eta, path, gated) -> tuple[Assertion, Command, Asse
     if isinstance(d, (WriteAxiom, SkipAxiom)):
         return conclusion(d)
     if isinstance(d, FrameRule):
-        _check(gamma, d.body, budget, eta, path + ".frame", gated)
+        _check(gamma, d.body, budget, eta, path + ".frame")
         return conclusion(d)
     if isinstance(d, ExistsRule):
-        _, cmd, _ = _check(gamma, d.body, budget, eta, path + ".exists", gated)
+        _, cmd, _ = _check(gamma, d.body, budget, eta, path + ".exists")
         if d.var in command_vars(cmd):
             raise _Reject(path, f"{d.var} occurs free in the command")
         return conclusion(d)
     if isinstance(d, SeqRule):
-        _, _, post1 = _check(gamma, d.first, budget, eta, path + ".seq1", gated)
-        pre2, _, _ = _check(gamma, d.second, budget, eta, path + ".seq2", gated)
+        _, _, post1 = _check(gamma, d.first, budget, eta, path + ".seq1")
+        pre2, _, _ = _check(gamma, d.second, budget, eta, path + ".seq2")
         if post1 != pre2:
             raise _Reject(
                 path,
@@ -412,12 +409,8 @@ def _check(gamma, d, budget, eta, path, gated) -> tuple[Assertion, Command, Asse
             )
         return conclusion(d)
     if isinstance(d, IfRule):
-        pre_t, cmd_t, post_t = _check(
-            gamma, d.then_branch, budget, eta, path + ".then", gated
-        )
-        pre_e, cmd_e, post_e = _check(
-            gamma, d.else_branch, budget, eta, path + ".else", gated
-        )
+        pre_t, cmd_t, post_t = _check(gamma, d.then_branch, budget, eta, path + ".then")
+        pre_e, cmd_e, post_e = _check(gamma, d.else_branch, budget, eta, path + ".else")
         if post_t != post_e:
             raise _Reject(path, "branch postconditions differ")
         if not (
@@ -430,16 +423,14 @@ def _check(gamma, d, budget, eta, path, gated) -> tuple[Assertion, Command, Asse
             raise _Reject(path, "branch preconditions do not split on the guard")
         return conclusion(d)
     if isinstance(d, Consequence):
-        pre_in, _, post_in = _check(gamma, d.body, budget, eta, path + ".body", gated)
-        _check_implication(d.pre, pre_in, budget, eta, path + ".pre", gated)
-        _check_implication(post_in, d.post, budget, eta, path + ".post", gated)
+        pre_in, _, post_in = _check(gamma, d.body, budget, eta, path + ".body")
+        _check_implication(d.pre, pre_in, budget, eta, path + ".pre")
+        _check_implication(post_in, d.post, budget, eta, path + ".post")
         return conclusion(d)
     raise _Reject(path, f"unknown derivation node {type(d).__name__}")
 
 
-def _check_implication(lhs, rhs, budget, eta, path, gated):
-    if (lhs, rhs) in gated:
-        return
+def _check_implication(lhs, rhs, budget, eta, path):
     report = chk(lhs, rhs)
     if not report:
         raise _Reject(
@@ -452,7 +443,6 @@ def _check_implication(lhs, rhs, budget, eta, path, gated):
             path,
             f"bounded unary search refuted {pretty(lhs)} |= {pretty(rhs)}",
         )
-    gated.add((lhs, rhs))
 
 
 # --- 2-validity ----------------------------------------------------------------

@@ -28,12 +28,16 @@ an annotated client proof.  The file format is line-oriented::
 
 A section header starts at the beginning of its line, and the lines under it
 are indented.  An operation under ``impl1:`` or ``impl2:``, and a variable
-under ``coupling:``, may be given only once.
+under ``coupling:``, may be given only once.  A parse error below the
+``avars:`` and ``env:`` headers names its line (the first one of a section
+written across lines), and for an operation or a coupling also its section and
+name.  ``env:`` must bind every free normal variable of the scenario.
 
 Proofs are straight lines of commands with an assertion between every two
-statements; two consecutive assertion lines mark a consequence step.  The
-builder assembles the corresponding derivation; richer derivations (frame,
-existential, conditional) are built programmatically.
+statements.  Two consecutive assertion lines mark a consequence step, the only
+rule the lifting gate guards, so a command with no extra assertion line before
+it gets no consequence node.  The builder assembles the derivation; richer
+derivations (frame, existential, conditional) are built programmatically.
 
 The scenario files in the checkout's ``scenarios/`` directory are the only
 copy of the packaged demos, which exercise representation independence end
@@ -73,6 +77,7 @@ from .hoare import (
     WriteAxiom,
     build_modules,
     check_proof,
+    command_vars,
     conclusion,
     exec_command,
     make_context,
@@ -87,7 +92,9 @@ from .syntax import (
     ParseError,
     PointsTo,
     PointsToAny,
+    UnboundVariable,
     _Parser,
+    free_vars,
     parse,
     parse_header,
     pretty,
@@ -180,9 +187,9 @@ def parse_command(text: str) -> Command:
 ProofLine = tuple[str, object]  # ("assert", Assertion) | ("cmd", Command)
 
 
-def parse_proof_lines(lines: list[str], avars: frozenset[str]) -> list[ProofLine]:
+def parse_proof_lines(text: str, avars: frozenset[str]) -> list[ProofLine]:
     out: list[ProofLine] = []
-    for line in lines:
+    for line in text.splitlines():
         stripped = line.strip().rstrip(";").strip()
         if not stripped:
             continue
@@ -200,42 +207,33 @@ def build_annotated_proof(
 ) -> Derivation:
     """Assemble a derivation from an annotated straight-line program.
 
-    Every command needs an assertion before and after it; consecutive
-    assertions become consequence steps.  Module calls must match their
+    Every command needs an assertion before and after it.  Each hop (two
+    adjacent assertion lines) becomes one consequence step, so a command with
+    no extra assertion line before it gets none.  Module calls must match their
     context triple exactly (insert a consequence line otherwise); writes must
     match the heap-write axiom; skip needs equal assertions around it.
     """
     if not lines or lines[0][0] != "assert":
         raise ValueError("a proof starts with an assertion line")
-    current: Assertion = lines[0][1]
+    chain: list[Assertion] = []  # the assertion lines since the last command
     derivation: Derivation | None = None
-    i = 1
-    while i < len(lines):
-        hops: list[Assertion] = []
-        while i < len(lines) and lines[i][0] == "assert":
-            hops.append(lines[i][1])
-            i += 1
-        if i == len(lines):
-            if derivation is None:
-                raise ValueError("a proof needs at least one command")
-            for target in hops:
-                pre, _, _ = conclusion(derivation)
-                derivation = Consequence(pre, derivation, target)
-            return derivation
-        cmd = lines[i][1]
-        i += 1
-        if i == len(lines) or lines[i][0] != "assert":
+    for k, (kind, item) in enumerate(lines):
+        if kind == "assert":
+            chain.append(item)
+            continue
+        if k + 1 == len(lines) or lines[k + 1][0] != "assert":
             raise ValueError("every command needs an assertion after it")
-        post = lines[i][1]
-        i += 1
-        step_pre = hops[-1] if hops else current
-        step = _axiom_step(gamma, step_pre, cmd, post)
-        for hop_source in reversed([current, *hops[:-1]]):
-            step = Consequence(hop_source, step, post)
+        post = lines[k + 1][1]
+        step = _axiom_step(gamma, chain[-1], item, post)
+        for source in reversed(chain[:-1]):
+            step = Consequence(source, step, post)
         derivation = step if derivation is None else SeqRule(derivation, step)
-        current = post
+        chain = []
     if derivation is None:
         raise ValueError("a proof needs at least one command")
+    pre, _, _ = conclusion(derivation)
+    for target in chain[1:]:
+        derivation = Consequence(pre, derivation, target)
     return derivation
 
 
@@ -308,7 +306,7 @@ _SECTIONS = (
 
 
 def parse_scenario(text: str) -> Scenario:
-    sections: dict[str, list[str]] = {name: [] for name in _SECTIONS}
+    sections: dict[str, list[tuple[int, str]]] = {name: [] for name in _SECTIONS}
     current: str | None = None
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
@@ -320,39 +318,46 @@ def parse_scenario(text: str) -> Scenario:
         if key in _SECTIONS and not indented:
             current = key
             if tail.strip():
-                sections[current].append(tail.strip())
+                sections[current].append((number, tail.strip()))
             continue
         if current is None or not indented:
             raise ValueError(
                 f"line {number}: expected a section header ({', '.join(_SECTIONS)})"
             )
-        sections[current].append(line.strip())
+        sections[current].append((number, line.strip()))
 
     avars: frozenset[str] = frozenset()
     eta: dict[str, int] = {}
     for key in ("avars", "env"):
-        for chunk in sections[key]:
+        for _, chunk in sections[key]:
             avars, eta = parse_header(key, chunk, avars, eta)
 
-    gamma = make_context(
-        [_parse_triple(line, avars) for line in sections["context"]]
-    )
-    impl1 = {n: parse_command(b) for n, b in _named_lines(sections, "impl1").items()}
-    impl2 = {n: parse_command(b) for n, b in _named_lines(sections, "impl2").items()}
-    coupling = {}
-    for name, literal in _named_lines(sections, "coupling").items():
-        try:
-            coupling[name] = parse_relation(literal, arity=2)
-        except ValueError as err:
-            raise ValueError(f"coupling {name!r}: {err}") from None
+    gamma = make_context([_on_lines([e], _parse_triple, avars) for e in sections["context"]])
+    impl1 = _named_lines(sections, "impl1", parse_command)
+    impl2 = _named_lines(sections, "impl2", parse_command)
+    coupling = _named_lines(sections, "coupling", parse_relation, 2)
     _check_coupling(coupling, avars)
-    client = parse_command(" ".join(sections["client"]))
-    pre = parse(" ".join(sections["pre"]), avars)
-    post = parse(" ".join(sections["post"]), avars)
-    proof = parse_proof_lines(sections["proof"], avars)
-    return Scenario(
-        avars, eta, gamma, impl1, impl2, coupling, client, pre, post, proof
-    )
+    client = _on_lines(sections["client"], parse_command)
+    pre = _on_lines(sections["pre"], parse, avars)
+    post = _on_lines(sections["post"], parse, avars)
+    proof = [
+        step for e in sections["proof"] for step in _on_lines([e], parse_proof_lines, avars)
+    ]
+    scenario = Scenario(avars, eta, gamma, impl1, impl2, coupling, client, pre, post, proof)
+    _check_bound(scenario)
+    return scenario
+
+
+def _on_lines(entries: list[tuple[int, str]], parse_fn, *args, what: str = ""):
+    """``parse_fn`` on the entries' joined text; an error names the first line."""
+    text = " ".join(t for _, t in entries)
+    prefix = (f"line {entries[0][0]}: " if entries else "") + what
+    try:
+        return parse_fn(text, *args)
+    except ParseError as err:
+        raise ParseError(prefix + err.message, err.position, err.text) from None
+    except ValueError as err:
+        raise ValueError(prefix + str(err)) from None
 
 
 def _check_coupling(coupling: dict[str, GenRel], avars: frozenset[str]) -> None:
@@ -372,29 +377,36 @@ def _check_coupling(coupling: dict[str, GenRel], avars: frozenset[str]) -> None:
         )
 
 
+def _check_bound(s: Scenario) -> None:
+    """Every free normal variable of the scenario is bound by ``env:``."""
+    assertions = [s.pre, s.post, *(a for t in s.gamma for a in (t.pre, t.post))]
+    commands = [s.client, *s.impl1.values(), *s.impl2.values()]
+    for kind, item in s.proof:
+        (assertions if kind == "assert" else commands).append(item)
+    free = set().union(*map(free_vars, assertions), *map(command_vars, commands))
+    unbound = sorted(free - s.eta.keys())
+    if unbound:
+        raise UnboundVariable(f"normal variable {unbound[0]!r} is unbound")
+
+
 def _parse_triple(line: str, avars: frozenset[str]) -> Triple:
-    stripped = line.strip()
-    if not stripped.startswith("{"):
-        raise ValueError(f"triple must start with an assertion: {line!r}")
-    pre_end = stripped.index("}")
-    pre = parse(stripped[1:pre_end], avars)
-    rest = stripped[pre_end + 1 :].strip()
-    name, _, post_part = rest.partition("{")
-    post_part = post_part.strip()
-    if not post_part.endswith("}"):
-        raise ValueError(f"triple must end with an assertion: {line!r}")
-    return Triple(pre, name.strip(), parse(post_part[:-1], avars))
+    pre_text, closed, rest = line.partition("}")
+    name, _, post_text = rest.partition("{")
+    if not (pre_text.startswith("{") and closed and name.strip() and post_text.endswith("}")):
+        raise ValueError("triple must be written {pre} name {post}")
+    return Triple(parse(pre_text[1:], avars), name.strip(), parse(post_text[:-1], avars))
 
 
-def _named_lines(sections: dict[str, list[str]], section: str) -> dict[str, str]:
-    """The ``name: text`` lines of a section; a repeated name is an error."""
-    named: dict[str, str] = {}
-    for line in sections[section]:
+def _named_lines(sections: dict, section: str, parse_fn, *args) -> dict:
+    """Each ``name: text`` line of a section, parsed; a repeated name is an error."""
+    named = {}
+    for number, line in sections[section]:
         name, _, text = line.partition(":")
         name = name.strip()
         if name in named:
             raise ValueError(f"{section}: {name!r} is given twice")
-        named[name] = text.strip()
+        entry = [(number, text.strip())]
+        named[name] = _on_lines(entry, parse_fn, *args, what=f"{section} {name!r}: ")
     return named
 
 

@@ -335,3 +335,97 @@ def test_prove_on_a_file_without_scenario_sections_exits_two(capsys):
     code = main(["prove", str(SCENARIOS / "fan.imp")])
     assert code == 2
     assert "line 3: expected a section header (avars, env, " in capsys.readouterr().err
+
+
+def _edited_counter(tmp_path, *edits):
+    """counter.scn with each (old, new) replaced once, and the line number of
+    the first edit."""
+    text = (SCENARIOS / "counter.scn").read_text()
+    first = text[: text.index(edits[0][0])].count("\n") + 1
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    source = tmp_path / "edited.scn"
+    source.write_text(text)
+    return source, first
+
+
+# (old, new, the error after "line N: ") for one bad line of counter.scn
+BAD_LINES = [
+    ("{1|->_} init {a}", "{1|->_ init {a", "triple must be written {pre} name {post}"),
+    ("{1|->_} init {a}", "{1|->_} {a}", "triple must be written {pre} name {post}"),
+    ("{a} inc {a}", "{a *} inc {a}", "expected an assertion at offset 3: 'a *'"),
+    ("dec: let y=[1] in [1] := y-1", "dec: let y=[1] in",
+     "impl1 'dec': expected a command at offset 12: 'let y=[1] in'"),
+    ("  b: {", "  b: TOP(3) # {", "coupling 'b': 'TOP(3)' has arity 3, expected 2"),
+    ("client: init; inc;", "client: init; inc;;",
+     "expected a command at offset 10: 'init; inc;; nxt; dec; fin'"),
+    ("pre: 1|->_", "pre: 1|->", "expected an arithmetic expression at offset 4: '1|->'"),
+    # a section joined across lines names its first line
+    ("post: 1|->_", "post: 1|-> _ *\n  * 1|->_",
+     "expected an assertion at offset 9: '1|-> _ * * 1|->_'"),
+    ("  {b}\n  fin", "  {b *}\n  fin", "expected an assertion at offset 3: 'b *'"),
+    ("  {b}\n  fin", "  {b\n  fin", "assertion line must be braced: '{b'"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", BAD_LINES)
+def test_scenario_line_errors_name_their_line(capsys, tmp_path, old, new, message):
+    source, number = _edited_counter(tmp_path, (old, new))
+    code = main(["--vals=-1,0,1", "prove", str(source)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line {number}: {message}\n"
+
+
+def test_proof_through_an_assertion_outside_chk_needs_no_gate(capsys, tmp_path):
+    # No consequence step is written, so the proof passes through a /\ a*a,
+    # which chk rejects, without gating it.
+    source = tmp_path / "aa.scn"
+    source.write_text(
+        "avars: a\ncontext:\n  {1|->_} op {a /\\ a*a}\nimpl1:\n  op: skip\n"
+        "impl2:\n  op: skip\nclient: op\npre: 1|->_\npost: a /\\ a*a\n"
+        "proof:\n  {1|->_}\n  op\n  {a /\\ a*a}\n"
+    )
+    code, out = run(capsys, "--vals=-1,0,1", "prove", str(source))
+    assert code == 0
+    assert out.startswith("Accepted (relative to the search bound)")
+
+
+UNBOUND_X = {
+    "assertion": [
+        ("{1|->_} init {a}", "{x|->_} init {a}"),
+        ("pre: 1|->_", "pre: x|->_"),
+        ("proof:\n  {1|->_}", "proof:\n  {x|->_}"),
+    ],
+    "operation": [("  nxt: skip", "  nxt: [x] := 0")],
+    "client": [("client: init; inc; nxt; dec; fin", "client: init; let y=[x] in skip; fin")],
+}
+
+
+@pytest.mark.parametrize("command", ["prove", "validity"])
+@pytest.mark.parametrize("place", sorted(UNBOUND_X))
+def test_unbound_normal_variable_exits_two(capsys, tmp_path, command, place):
+    source, _ = _edited_counter(tmp_path, *UNBOUND_X[place])
+    code = main(["--vals=-1,0,1", command, str(source)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: normal variable 'x' is unbound\n"
+
+
+BOUND_X = {
+    "env": [("avars: a, b\n", "avars: a, b\nenv: x=1\n"), *UNBOUND_X["assertion"]],
+    "exists": [
+        ("{1|->_} init {a}", "{EX x. 1|->x} init {a}"),
+        ("pre: 1|->_", "pre: EX x. 1|->x"),
+        ("proof:\n  {1|->_}", "proof:\n  {EX x. 1|->x}"),
+    ],
+    "let": [("  nxt: skip", "  nxt: let x=[1] in [1] := x")],
+}
+
+
+@pytest.mark.parametrize("command", ["prove", "validity"])
+@pytest.mark.parametrize("binder", sorted(BOUND_X))
+def test_bound_normal_variable_passes(capsys, tmp_path, command, binder):
+    source, _ = _edited_counter(tmp_path, *BOUND_X[binder])
+    code = main(["--vals=-1,0,1", command, str(source)])
+    assert capsys.readouterr().err == ""
+    assert code == 0

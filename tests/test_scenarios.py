@@ -1,4 +1,6 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from conftest import SCENARIO_DIR, load_scenario
 from seplift.heap import heap
@@ -10,10 +12,12 @@ from seplift.hoare import (
     SeqCmd,
     SeqRule,
     Skip,
+    Triple,
     Write,
     check_proof,
     conclusion,
     exec_command,
+    make_context,
     two_validity_test,
 )
 from seplift.relations import GenRel
@@ -62,13 +66,68 @@ def test_annotated_proof_errors():
     with pytest.raises(ValueError):
         build_annotated_proof(
             scenario.gamma,
-            parse_proof_lines(["init", "{a}"], scenario.avars),
+            parse_proof_lines("init\n{a}", scenario.avars),
         )
     with pytest.raises(ValueError):
         build_annotated_proof(
             scenario.gamma,
-            parse_proof_lines(["{1|->_}", "init", "{b}"], scenario.avars),
+            parse_proof_lines("{1|->_}\ninit\n{b}", scenario.avars),
         )
+
+
+@st.composite
+def _straight_line_proofs(draw):
+    """A proof text of 1-4 calls with 0-2 extra assertion lines before each
+    command and at the end, its context (one operation per call, whose
+    triple matches the lines around it), and its chains of assertion lines.
+    Every assertion line is a distinct ``1|->k``, so each implication names
+    the lines it came from."""
+    commands = draw(st.integers(1, 4))
+    extras = draw(st.lists(st.integers(0, 2), min_size=commands + 1, max_size=commands + 1))
+    values = iter(draw(st.permutations(range(40))))
+    chains = [[f"1|->{next(values)}" for _ in range(1 + n)] for n in extras]
+    lines, triples = [], []
+    for k in range(commands):
+        lines += [f"{{{text}}}" for text in chains[k]] + [f"op{k}"]
+        triples.append(Triple(parse(chains[k][-1]), f"op{k}", parse(chains[k + 1][0])))
+    lines += [f"{{{text}}}" for text in chains[-1]]
+    chains = [[parse(text) for text in chain] for chain in chains]
+    return lines, make_context(triples), chains
+
+
+def _consequences(d):
+    """Every Consequence node's (pre side, post side) implications."""
+    if isinstance(d, Consequence):
+        pre_in, _, post_in = conclusion(d.body)
+        return [((d.pre, pre_in), (post_in, d.post)), *_consequences(d.body)]
+    if isinstance(d, SeqRule):
+        return _consequences(d.first) + _consequences(d.second)
+    return []
+
+
+@settings(max_examples=200)
+@given(_straight_line_proofs())
+def test_annotated_proof_has_one_consequence_per_written_hop(proof):
+    lines, gamma, chains = proof
+    derivation = build_annotated_proof(gamma, parse_proof_lines("\n".join(lines), frozenset()))
+    hops = [pair for chain in chains for pair in zip(chain, chain[1:])]
+    before_commands = {pair for chain in chains[:-1] for pair in zip(chain, chain[1:])}
+    nodes = _consequences(derivation)
+    assert len(nodes) == len(hops)
+    first, last = chains[0][0], chains[-1][-1]
+    gated = []
+    for pre_side, post_side in nodes:
+        if pre_side in before_commands:
+            # a hop before a command: the step's postcondition is unchanged
+            assert post_side[0] == post_side[1]
+            gated.append(pre_side)
+        else:
+            # a hop after the last command: the proof's precondition is unchanged
+            assert pre_side == (first, first)
+            gated.append(post_side)
+    assert set(gated) == set(hops)
+    client = parse_command("; ".join(f"op{k}" for k in range(len(gamma))))
+    assert conclusion(derivation) == (first, client, last)
 
 
 def test_scenario_files_round_trip():
