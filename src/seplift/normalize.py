@@ -43,7 +43,6 @@ from .syntax import (
     PointsToAny,
     Star,
     TrueLit,
-    assertion_vars,
     pretty,
     star_all,
 )
@@ -66,6 +65,28 @@ MAX_CLAUSES = 10_000
 MAX_FAMILY = 10_000
 
 
+_VARIABLE_FREE = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom, TrueLit, FalseLit)
+
+
+def _holds_avar(a: Assertion) -> bool:
+    """Whether `a` mentions an assertion variable; the walk stops at the
+    first one it meets."""
+    stack = [a]
+    while stack:
+        a = stack.pop()
+        if isinstance(a, _VARIABLE_FREE):
+            continue
+        if isinstance(a, AVar):
+            return True
+        if isinstance(a, (Star, And, Or)):
+            stack += (a.left, a.right)
+        elif isinstance(a, (Forall, Exists)):
+            stack.append(a.body)
+        else:
+            raise TypeError(f"not an assertion: {a!r}")
+    return False
+
+
 @dataclass(frozen=True)
 class Clause:
     """A variable-free base assertion starred with assertion variables."""
@@ -74,7 +95,7 @@ class Clause:
     avars: tuple[str, ...]  # sorted multiset
 
     def __post_init__(self):
-        if assertion_vars(self.base):
+        if _holds_avar(self.base):
             raise ValueError("clause base must not contain assertion variables")
         object.__setattr__(self, "avars", tuple(sorted(self.avars)))
 
@@ -135,8 +156,6 @@ _Builder = tuple[tuple[Assertion, ...], tuple[str, ...]]
 class _Blowup(Exception):
     pass
 
-
-_VARIABLE_FREE = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom, TrueLit, FalseLit)
 
 # What `_norm` returns for a subtree that holds no assertion variable.
 _FREE = object()

@@ -94,6 +94,7 @@ from .syntax import (
     PointsToAny,
     UnboundVariable,
     _Parser,
+    _is_ident,
     free_vars,
     parse,
     parse_header,
@@ -117,47 +118,47 @@ __all__ = [
 class _CommandParser(_Parser):
     def command(self) -> Command:
         node = self.statement()
-        while self.peek().text == ";":
+        while self.peek() == ";":
             self.advance()
-            if self.peek().kind == "eof":
+            if not self.peek():
                 break  # tolerate a trailing semicolon
             node = SeqCmd(node, self.statement())
         return node
 
     def statement(self) -> Command:
         tok = self.peek()
-        if tok.text == "skip":
+        if tok == "skip":
             self.advance()
             return Skip()
-        if tok.text == "{":
+        if tok == "{":
             self.advance()
             node = self.command()
             self.expect("}")
             return node
-        if tok.text == "[":
+        if tok == "[":
             self.advance()
             addr = self.expr()
             self.expect("]")
             self.expect(":=")
             return Write(addr, self.expr())
-        if tok.text == "let":
+        if tok == "let":
             self.advance()
             name = self.advance()
-            if name.kind != "ident":
+            if not _is_ident(name):
                 raise self.error("expected a variable after 'let'")
             self.expect("=")
             self.expect("[")
             addr = self.expr()
             self.expect("]")
             self.expect("in")
-            return LetRead(name.text, addr, self.statement())
-        if tok.text == "if":
+            return LetRead(name, addr, self.statement())
+        if tok == "if":
             self.advance()
             left = self.expr()
             op = self.advance()
-            if op.text not in ("=", "!=", "<", "<=", ">", ">="):
+            if op not in ("=", "!=", "<", "<=", ">", ">="):
                 raise self.error("expected a comparison in the guard")
-            cond = BoolAtom(op.text, left, self.expr())
+            cond = BoolAtom(op, left, self.expr())
             self.expect("{")
             then_branch = self.command()
             self.expect("}")
@@ -166,19 +167,15 @@ class _CommandParser(_Parser):
             else_branch = self.command()
             self.expect("}")
             return IfCmd(cond, then_branch, else_branch)
-        if tok.kind == "ident":
+        if _is_ident(tok):
             self.advance()
-            return Call(tok.text)
+            return Call(tok)
         raise self.error("expected a command")
 
 
 def parse_command(text: str) -> Command:
     parser = _CommandParser(text, frozenset())
-    node = parser.command()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input after command", tok.pos, text)
-    return node
+    return parser.run(parser.command, "command")
 
 
 # --- annotated straight-line proofs ---------------------------------------------
@@ -288,7 +285,17 @@ class Scenario:
         return build_modules(self.impl1, self.eta), build_modules(self.impl2, self.eta)
 
     def derivation(self) -> Derivation:
-        return build_annotated_proof(self.gamma, self.proof)
+        """The proof's derivation, which must conclude the scenario's own
+        ``pre:``, ``client:`` and ``post:``: a proof of another triple says
+        nothing about this client."""
+        derivation = build_annotated_proof(self.gamma, self.proof)
+        own = (self.pre, self.client, self.post)
+        for part, proved, given in zip(("pre", "client", "post"), conclusion(derivation), own):
+            if proved != given:
+                raise ValueError(
+                    f"the proof concludes a different {part} than the {part}: section"
+                )
+        return derivation
 
 
 _SECTIONS = (

@@ -25,8 +25,9 @@ variables disjoint.
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from .relations import GenRel
 
@@ -295,40 +296,60 @@ class ParseError(ValueError):
 
 
 # The token set also covers the command language (":=", brackets, braces,
-# ";"), so the command parser can share this tokenizer.  One `finditer` pass
-# reads the whole text: the search itself skips whitespace, and the final
-# catch-all group `bad` matches any other character, so the first one the
-# token groups do not cover raises "unexpected character" at its offset.
+# ";"), so the command parser can share this tokenizer.  Tokens are plain
+# strings from one `findall`, ended by a "" sentinel, and a token's first
+# character gives its kind: a digit starts a number, a letter or "_" an
+# identifier, anything else an operator.  The search skips whitespace and
+# every character no alternative matches, so the tokens cover all the text's
+# non-whitespace characters exactly when it has no unexpected one; otherwise
+# a `finditer` pass finds the first and raises "unexpected character" at its
+# offset, before any parse error.  Other offsets are computed only for an
+# error, from a `finditer` pass with the same pattern.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-  | (?P<op>\|->|\|=|:=|/\\|\\/|<=|>=|!=|[-+*().,_=<>\[\]{};])
-  | (?P<bad>\S)
+    \d+
+  | [A-Za-z_][A-Za-z0-9_']*
+  | \|->|\|=|:=|/\\|\\/|<=|>=|!=|[-+*().,_=<>\[\]{};]
     """,
     re.VERBOSE,
 )
+_NON_SPACE = re.compile(r"\S")
+_IDENT_START = frozenset(string.ascii_letters + "_")
 
 _KEYWORDS = {"true", "false", "ALL", "EX"}
+_T = TypeVar("_T")
 
 
-class _Token(NamedTuple):
-    kind: str  # 'num', 'ident', 'op', 'eof'
-    text: str
-    pos: int
+def _is_num(tok: str) -> bool:
+    return tok[:1].isdecimal()
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    append = tokens.append
-    new = tuple.__new__  # skips the NamedTuple constructor's argument handling
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError("unexpected character", m.start(), text)
-        append(new(_Token, (kind, m[0], m.start())))
-    append(_Token("eof", "", len(text)))
+def _is_ident(tok: str) -> bool:
+    return tok[:1] in _IDENT_START
+
+
+def _tokenize(text: str) -> list[str]:
+    tokens = _TOKEN_RE.findall(text)
+    if len("".join(tokens)) != len("".join(text.split())):
+        end = 0
+        for m in _TOKEN_RE.finditer(text):
+            if _NON_SPACE.search(text, end, m.start()):
+                break
+            end = m.end()
+        position = _NON_SPACE.search(text, end).start()
+        raise ParseError("unexpected character", position, text)
+    tokens.append("")
     return tokens
+
+
+class _Failure(Exception):
+    """A parse error at a token index.  `_Parser.run` turns it into a
+    `ParseError` at the token's offset, so a failed expression reading that
+    `atom` backs out of costs no offset."""
+
+    def __init__(self, message: str, index: int):
+        self.message = message
+        self.index = index
 
 
 class _Parser:
@@ -338,22 +359,34 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self) -> str:
         tok = self.tokens[self.index]
         self.index += 1
         return tok
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.pos, self.text)
+    def expect(self, text: str) -> str:
+        if self.tokens[self.index] != text:
+            raise self.error(f"expected {text!r}")
         return self.advance()
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.peek().pos, self.text)
+    def error(self, message: str) -> _Failure:
+        return _Failure(message, self.index)
+
+    def run(self, rule: Callable[[], _T], what: str) -> _T:
+        """`rule()` read from the whole text, or a `ParseError` at the offset
+        of the token it failed at (the end of the text once past the last)."""
+        try:
+            node = rule()
+            if self.tokens[self.index]:
+                raise self.error(f"trailing input after {what}")
+        except _Failure as failure:
+            starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+            position = starts[failure.index] if failure.index < len(starts) else len(self.text)
+            raise ParseError(failure.message, position, self.text) from None
+        return node
 
     # assertion levels
 
@@ -362,75 +395,75 @@ class _Parser:
 
     def or_level(self) -> Assertion:
         node = self.and_level()
-        while self.tokens[self.index].text == "\\/":
+        while self.tokens[self.index] == "\\/":
             self.advance()
             node = Or(node, self.and_level())
         return node
 
     def and_level(self) -> Assertion:
         node = self.star_level()
-        while self.tokens[self.index].text == "/\\":
+        while self.tokens[self.index] == "/\\":
             self.advance()
             node = And(node, self.star_level())
         return node
 
     def star_level(self) -> Assertion:
         node = self.atom()
-        while self.tokens[self.index].text == "*":
+        while self.tokens[self.index] == "*":
             self.advance()
             node = Star(node, self.atom())
         return node
 
     def atom(self) -> Assertion:
-        tok = self.peek()
-        if tok.text == "true":
+        tok = self.tokens[self.index]
+        if tok == "true":
             self.advance()
             return TrueLit()
-        if tok.text == "false":
+        if tok == "false":
             self.advance()
             return FalseLit()
-        if tok.text in ("ALL", "EX"):
+        if tok in ("ALL", "EX"):
             self.advance()
             name = self.peek()
-            if name.kind != "ident" or name.text in _KEYWORDS:
+            if not _is_ident(name) or name in _KEYWORDS:
                 raise self.error("expected a variable after quantifier")
-            if name.text in self.avars:
+            if name in self.avars:
                 raise self.error("quantifier cannot bind an assertion variable")
             self.advance()
             self.expect(".")
             body = self.or_level()
-            return (Forall if tok.text == "ALL" else Exists)(name.text, body)
-        if tok.text == "-" and not self._minus_starts_expr():
+            return (Forall if tok == "ALL" else Exists)(name, body)
+        if (
+            tok in self.avars
+            and _is_ident(tok)
+            and self.tokens[self.index + 1] not in _EXPR_FOLLOW
+        ):
+            # The expression path below would read this as VarRef and then
+            # return the same AVar.
+            self.index += 1
+            return AVar(tok)
+        if tok == "-" and not self._minus_starts_expr():
             self.advance()
             return NonEmptyHeap()
-        if tok.text == "(":
+        if tok == "(":
             # Could be a parenthesised assertion or an expression followed by
             # |-> or a comparison; try the expression reading first.
             snapshot = self.index
             try:
                 expr = self.expr()
-                follow = self.peek().text
+                follow = self.peek()
                 if follow == "|->" or follow in _CMP_OPS:
                     return self._after_expr(expr)
-            except ParseError:
+            except _Failure:
                 pass
             self.index = snapshot
             self.advance()
             node = self.or_level()
             self.expect(")")
             return node
-        if tok.kind in ("num", "ident") or tok.text == "-":
-            if (
-                tok.kind == "ident"
-                and tok.text in self.avars
-                and self.tokens[self.index + 1].text not in _EXPR_FOLLOW
-            ):
-                # The expression path would read this as VarRef and then
-                # return the same AVar.
-                self.index += 1
-                return AVar(tok.text)
+        if _is_num(tok) or _is_ident(tok) or tok == "-":
             expr = self.expr()
-            follow = self.peek().text
+            follow = self.peek()
             if follow == "|->" or follow in _CMP_OPS:
                 return self._after_expr(expr)
             if isinstance(expr, VarRef):
@@ -445,43 +478,43 @@ class _Parser:
 
     def _after_expr(self, expr: Expr) -> Assertion:
         follow = self.advance()
-        if follow.text == "|->":
-            if self.peek().text == "_":
+        if follow == "|->":
+            if self.peek() == "_":
                 self.advance()
                 return PointsToAny(expr)
             return PointsTo(expr, self.expr())
-        return BoolAtom(follow.text, expr, self.expr())
+        return BoolAtom(follow, expr, self.expr())
 
     def _minus_starts_expr(self) -> bool:
         nxt = self.tokens[self.index + 1]
-        if nxt.text == "(" or nxt.text == "-":
+        if nxt == "(" or nxt == "-":
             # "-(" can only be negation (atoms never juxtapose a paren), and
             # "--" can only be a double negation.
             return True
-        return nxt.kind == "num" or (nxt.kind == "ident" and nxt.text not in _KEYWORDS)
+        return _is_num(nxt) or (_is_ident(nxt) and nxt not in _KEYWORDS)
 
     # expressions
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.advance().text
+        while self.peek() in ("+", "-"):
+            op = self.advance()
             rhs = self.term()
             node = Add(node, rhs) if op == "+" else SubExpr(node, rhs)
         return node
 
     def term(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "num":
+        if _is_num(tok):
             self.advance()
-            return IntLit(int(tok.text))
-        if tok.kind == "ident" and tok.text not in _KEYWORDS:
+            return IntLit(int(tok))
+        if _is_ident(tok) and tok not in _KEYWORDS:
             self.advance()
-            return VarRef(tok.text)
-        if tok.text == "-":
+            return VarRef(tok)
+        if tok == "-":
             self.advance()
             return Neg(self.term())
-        if tok.text == "(":
+        if tok == "(":
             self.advance()
             node = self.expr()
             self.expect(")")
@@ -492,20 +525,12 @@ class _Parser:
 def parse(text: str, avars: Iterator[str] | frozenset[str] = frozenset()) -> Assertion:
     """Parse an assertion; `avars` lists the declared assertion variables."""
     parser = _Parser(text, frozenset(avars))
-    node = parser.assertion()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input after assertion", tok.pos, text)
-    return node
+    return parser.run(parser.assertion, "assertion")
 
 
 def parse_expr(text: str) -> Expr:
     parser = _Parser(text, frozenset())
-    node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("trailing input after expression", tok.pos, text)
-    return node
+    return parser.run(parser.expr, "expression")
 
 
 # --- pretty-printing -------------------------------------------------------
@@ -629,8 +654,7 @@ def _check_variable_name(word: str, kind: str) -> None:
     """Reject a declared name that the tokenizer would not read as one."""
     if word in _KEYWORDS or word == "_":
         raise ValueError(f"{kind} {word!r} is a reserved word")
-    token = _TOKEN_RE.fullmatch(word)
-    if token is None or token.lastgroup != "ident":
+    if not (_TOKEN_RE.fullmatch(word) and _is_ident(word)):
         raise ValueError(f"{kind} {word!r} is not an identifier")
 
 

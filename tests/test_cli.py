@@ -429,3 +429,34 @@ def test_bound_normal_variable_passes(capsys, tmp_path, command, binder):
     code = main(["--vals=-1,0,1", command, str(source)])
     assert capsys.readouterr().err == ""
     assert code == 0
+
+
+OTHER_TRIPLE = {
+    "pre": [("pre: 1|->_", "pre: 1|->0")],
+    "client": [("client: init; inc; nxt; dec; fin", "client: init; inc; nxt; dec")],
+    "post": [("post: 1|->_", "post: 2|->_")],
+    # the first part that differs is named
+    "client and post": [
+        ("client: init; inc; nxt; dec; fin", "client: init; fin"),
+        ("post: 1|->_", "post: 2|->_"),
+    ],
+}
+
+
+@pytest.mark.parametrize("edited", sorted(OTHER_TRIPLE))
+def test_prove_rejects_a_proof_of_another_triple(capsys, tmp_path, edited):
+    # counter.scn's proof kept under another pre, client or post
+    source, _ = _edited_counter(tmp_path, *OTHER_TRIPLE[edited])
+    code = main(["--vals=-1,0,1", "prove", str(source)])
+    part = edited.split()[0]
+    assert capsys.readouterr().err == (
+        f"error: the proof concludes a different {part} than the {part}: section\n"
+    )
+    assert code == 2
+
+
+def test_proof_of_another_client_hid_a_violation(capsys, tmp_path):
+    source, _ = _edited_counter(tmp_path, *OTHER_TRIPLE["client and post"])
+    code = main(["--vals=-1,0,1", "validity", str(source)])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("client violation: client: inputs")

@@ -125,21 +125,32 @@ def test_reduce_false_rhs():
 
 
 def test_to_simple_asks_variable_freeness_once_per_clause(monkeypatch):
-    # a left-nested 300-factor chain: asking assertion_vars at every node
-    # would make 300 calls, each walking the whole subtree below it
+    # a left-nested 300-factor chain: asking at every node would make 300
+    # calls, each walking the whole subtree below it; `Clause` asks once
     phi = parse(" * ".join(["a"] * 300 + ["1|->_"]), AVARS)
     expected = [Clause(parse("1|->_"), ("a",) * 300)]
     calls = []
+    holds_avar = normalize._holds_avar
 
     def counting(a):
         calls.append(a)
-        return assertion_vars(a)
+        return holds_avar(a)
 
-    monkeypatch.setattr(normalize, "assertion_vars", counting)
+    monkeypatch.setattr(normalize, "_holds_avar", counting)
     simple = to_simple(phi)
     clauses = [c for conj in simple.disjuncts for c in conj]
     assert clauses == expected
     assert len(calls) <= len(clauses)
+
+
+@settings(max_examples=150)
+@given(assertions)
+def test_clause_rejects_a_base_exactly_when_it_holds_a_variable(phi):
+    if assertion_vars(phi):
+        with pytest.raises(ValueError, match="must not contain assertion variables"):
+            Clause(phi, ())
+    else:
+        assert Clause(phi, ("b", "a")).avars == ("a", "b")
 
 
 def test_to_simple_gives_up_past_the_clause_bound():
