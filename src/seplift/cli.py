@@ -69,11 +69,7 @@ def _bound(budget: SearchBudget) -> tuple[dict, str]:
         "gens": budget.max_generators,
         "heap_size": budget.max_heap_size,
     }
-    text = (
-        f"locs<={budget.max_loc}, vals={record['vals']}, "
-        f"gens<={budget.max_generators}, heap size<={budget.max_heap_size}"
-    )
-    return record, text
+    return record, budget.describe()
 
 
 def _load_assertion_file(path: str):
@@ -232,10 +228,9 @@ def _cmd_pc(args, out: _Output) -> int:
     _, _, family = _reduced_family(doc, args.file)
     budget = _budget(args)
     bound, bound_text = _bound(budget)
-    dom = budget.domain()
     all_hold = True
     for form in family:
-        verdict = pc_check(form, doc.eta, budget, dom)
+        verdict = pc_check(form, doc.eta, budget)
         record = {
             "member": format_implication(form),
             "holds": verdict.holds,

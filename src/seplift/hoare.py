@@ -10,8 +10,9 @@ heap-write axioms, frame, existential, sequencing, conditional), which hold
 in the relational reading as they stand, plus a rule of consequence, the only
 one checked semantically: each implication must pass ``chk`` (so it lifts to
 the relational reading) and a bounded environment search must find no unary
-counterexample.  So ``check_proof`` answers Accepted relative to the search
-bound, never unconditionally.
+counterexample.  A side that is the same assertion on both ends, φ ⊨ φ, holds
+at every arity and is not gated.  So ``check_proof`` answers Accepted
+relative to the search bound, never unconditionally.
 
 ``two_validity_test`` checks the binary reading of triples: one client, two
 module implementations built by ``build_modules``, assertion variables
@@ -56,9 +57,11 @@ from .syntax import (
     PointsTo,
     PointsToAny,
     Star,
+    UnboundVariable,
     eval_bool,
     eval_expr,
     free_expr_vars,
+    free_vars,
     pretty,
 )
 
@@ -370,10 +373,10 @@ def check_proof(
 ) -> ProofVerdict:
     """Verify every rule instance of a derivation.
 
-    Structural rules are checked syntactically.  Consequence premises are
-    checked by chk plus a bounded unary environment search, so acceptance is
-    always relative to that bound.  Rejection pinpoints the first failing
-    node in depth-first order.
+    Structural rules are checked syntactically.  Consequence premises other
+    than a reflexive φ |= φ are checked by chk plus a bounded unary
+    environment search, so acceptance is always relative to that bound.
+    Rejection pinpoints the first failing node in depth-first order.
     """
     try:
         _check(gamma, d, budget, eta, "root")
@@ -431,6 +434,12 @@ def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
 
 
 def _check_implication(lhs, rhs, budget, eta, path):
+    if lhs == rhs:
+        # φ |= φ holds at every arity, so only its normal variables are checked.
+        unbound = sorted(free_vars(lhs) - (eta or {}).keys())
+        if unbound:
+            raise UnboundVariable(f"normal variable {unbound[0]!r} is unbound")
+        return
     report = chk(lhs, rhs)
     if not report:
         raise _Reject(
@@ -576,12 +585,6 @@ def _note_values_outside(violation: Violation, dom: ValueDomain) -> Violation:
     )
 
 
-def _within_budget(h: Heap, budget: SearchBudget) -> bool:
-    return all(
-        1 <= loc <= budget.max_loc and val in budget.values for loc, val in h.cells
-    )
-
-
 def _check_binary_triple(
     location, pre, run1, run2, post, rho, eta, budget, dom
 ):
@@ -591,7 +594,7 @@ def _check_binary_triple(
     post_rel = interpret(post, eta, rho, 2, dom)
     checked = 0
     for g1, g2 in pre_rel.sorted_generators():
-        if not (_within_budget(g1, budget) and _within_budget(g2, budget)):
+        if not (budget.admits(g1) and budget.admits(g2)):
             continue
         checked += 1
         out1, out2 = run1(g1), run2(g2)

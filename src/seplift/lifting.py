@@ -251,8 +251,7 @@ class CounterexamplePackage:
             f"binary environment: {rho_text}\n"
             f"witness pair: {witness_text}\n"
             f"unary evidence: no refutation among {self.unary_space} environments "
-            f"(locs<={self.unary_budget.max_loc}, vals={list(self.unary_budget.values)}, "
-            f"gens<={self.unary_budget.max_generators})"
+            f"({self.unary_budget.describe()})"
         )
 
 

@@ -30,11 +30,12 @@ applied to each environment visited; the right side is skipped when the left
 relation is empty, which is exact because a refutation needs a left generator
 outside the right relation.
 
-``pc_check`` decides (within a heap bound) the semantic condition that makes
-an implication valid for arity-independent reasons: every family of subheaps
-of a common heap that lands in the left conjunct bases must already be
-covered by a disjunct whose variable counts do not exceed the conjunct's, or
-by a variable-free disjunct containing the whole heap.
+``pc_check`` decides the semantic condition that makes an implication valid
+for arity-independent reasons: every family of subheaps of a common heap that
+lands in the left conjunct bases must already be covered by a disjunct whose
+variable counts do not exceed the conjunct's, or by a variable-free disjunct
+containing the whole heap.  It works on generators, with the budget's
+locations and values as its only bound (see its docstring).
 """
 
 from __future__ import annotations
@@ -140,6 +141,19 @@ class SearchBudget:
 
     def domain(self) -> ValueDomain:
         return ValueDomain(self.values, tuple(range(1, self.max_loc + 1)))
+
+    def admits(self, h: Heap) -> bool:
+        """Whether h's locations lie in 1..max_loc and its values in `values`."""
+        return all(
+            1 <= loc <= self.max_loc and val in self.values for loc, val in h.cells
+        )
+
+    def describe(self) -> str:
+        """The bound as text, e.g. 'locs<=3, vals=[0], gens<=2, heap size<=1'."""
+        return (
+            f"locs<={self.max_loc}, vals={list(self.values)}, "
+            f"gens<={self.max_generators}, heap size<={self.max_heap_size}"
+        )
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -607,7 +621,7 @@ class PCWitness:
 class PCVerdict:
     holds: bool
     witness: PCWitness | None = None
-    combinations_checked: int = 0
+    combinations_checked: int = 0  # candidate families: generators of the meet
 
     def __bool__(self) -> bool:
         return self.holds
@@ -615,72 +629,57 @@ class PCVerdict:
     def describe(self) -> str:
         if self.holds:
             return (
-                "holds (bounded): no violating subheap family within "
-                f"{self.combinations_checked} combinations"
+                "holds (bounded): no violating subheap family among "
+                f"{self.combinations_checked} candidate families"
             )
         w = self.witness
         parts = ", ".join(str(h) for h in w.parts)
         return f"fails: heap {w.heap} with conjunct subheaps ({parts})"
 
 
-def _subheaps(h: Heap) -> list[Heap]:
-    cells = h.cells
-    out = []
-    for size in range(len(cells) + 1):
-        for chosen in combinations(cells, size):
-            out.append(Heap(dict(chosen)))
-    out.sort(key=Heap.sort_key)
-    return out
-
-
 def pc_check(
     form: ImplicationForm,
     eta: Mapping[str, int] | None,
     budget: SearchBudget = DEFAULT_BUDGET,
-    dom: ValueDomain | None = None,
 ) -> PCVerdict:
-    """Bounded check of the arity-independent validity condition.
+    """Check the arity-independent validity condition on heaps whose cells
+    have locations in 1..max_loc and values in `budget.values`.
 
-    Fails yields a heap and per-conjunct subheaps witnessing that neither a
-    count-dominated disjunct covers some subheap nor a variable-free disjunct
-    covers the whole heap.  Holds is relative to the heap bound.
+    A family (one subheap of a heap h per conjunct, in the conjunct's base)
+    violates when no part lies in a disjunct its conjunct dominates (a solid
+    edge) and h lies in no variable-free disjunct.  `uncovered[i]` is
+    generated by the in-bound generators of conjunct i's base that no
+    dominated disjunct contains; the candidate families are the generators
+    of their `meet`, and a violation is one outside every variable-free
+    disjunct.  That is exact because every relation here is upward closed:
+    in a violating family each part can be replaced by a generator below
+    it, which stays in bound and outside the dominated disjuncts, and h by
+    the merge of those generators, which stays outside the variable-free
+    disjuncts.  So the least violating heap in `tuple_sort_key` order (the
+    order of `bounded_heaps`) is a candidate, and the least part below it per
+    conjunct is a generator of `uncovered[i]`; Fails yields those.
     """
-    dom = dom or budget.domain()
+    dom = budget.domain()
     eta_key = _freeze_eta(eta)
     layout = compute_layout(form)
-    conj_rels = [_evaluate(c.base, eta_key, None, 1, dom) for c in form.conjuncts]
     disj_rels = [_evaluate(d.base, eta_key, None, 1, dom) for d in form.disjuncts]
-    dominated = [
-        [
-            j
-            for j in range(layout.disjunct_count)
-            if layout.edge(i, j).solid
-        ]
-        for i in range(layout.conjunct_count)
+    uncovered = []
+    for i, clause in enumerate(form.conjuncts):
+        dominated = [r for j, r in enumerate(disj_rels) if layout.edge(i, j).solid]
+        base = _evaluate(clause.base, eta_key, None, 1, dom)
+        uncovered.append(GenRel(1, [
+            g
+            for g in base.generators
+            if budget.admits(g[0]) and not any(member(d, g) for d in dominated)
+        ]))
+    families = reduce(meet, uncovered)
+    free = reduce(union, [disj_rels[j] for j in layout.empty_disjuncts], empty(1))
+    least = _first_escapee(families, free)
+    if least is None:
+        return PCVerdict(True, None, len(families.generators))
+    parts = [
+        min((g for g in rel.generators if tuple_extends(g, least)), key=tuple_sort_key)
+        for rel in uncovered
     ]
-    empty_disjuncts = list(layout.empty_disjuncts)
-
-    checked = 0
-    for h in bounded_heaps(budget.max_loc, dom.values):
-        part_choices = []
-        for rel in conj_rels:
-            parts = [sub for sub in _subheaps(h) if member(rel, (sub,))]
-            if not parts:
-                break
-            part_choices.append(parts)
-        else:
-            whole_covered = any(
-                member(disj_rels[j], (h,)) for j in empty_disjuncts
-            )
-            for parts in product(*part_choices):
-                checked += 1
-                if whole_covered:
-                    continue
-                if any(
-                    member(disj_rels[j], (parts[i],))
-                    for i in range(len(parts))
-                    for j in dominated[i]
-                ):
-                    continue
-                return PCVerdict(False, PCWitness(h, parts), checked)
-    return PCVerdict(True, None, checked)
+    witness = PCWitness(least[0], tuple(g[0] for g in parts))
+    return PCVerdict(False, witness, len(families.generators))

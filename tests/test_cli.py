@@ -160,6 +160,26 @@ def test_prove_names_its_bound(capsys):
     assert record["budget"] == {"locs": 3, "vals": [0, 1, 2], "gens": 1, "heap_size": 1}
 
 
+def test_prove_does_not_gate_an_unwritten_reflexive_side(capsys, tmp_path):
+    # The one written hop, a /\ a*a |= true, lifts; the consequence step
+    # around it also has the side a /\ a*a |= a /\ a*a, which chk rejects
+    # but which holds at every arity, so it is not gated.
+    source = tmp_path / "reflexive.scn"
+    source.write_text(
+        "avars: a\n"
+        "context:\n  {a /\\ a*a} op {a /\\ a*a}\n"
+        "impl1:\n  op: skip\n"
+        "impl2:\n  op: skip\n"
+        "coupling:\n  a: { ([1:0],[1:0]) }\n"
+        "client: op\npre: a /\\ a*a\npost: true\n"
+        "proof:\n  {a /\\ a*a}\n  op\n  {a /\\ a*a}\n  {true}\n"
+    )
+    code, out = run(capsys, "prove", str(source))
+    assert (code, out.split(" [")[0]) == (0, "Accepted (relative to the search bound)")
+    code, out = run(capsys, "validity", str(source))
+    assert code == 0 and out.startswith("NoViolation")
+
+
 @pytest.mark.parametrize("value", ["-1,0,1", "-1,,0,1", "-1, 0, 1"])
 @pytest.mark.parametrize("fmt", ["text", "structured"])
 @pytest.mark.parametrize("command", ["prove", "validity"])

@@ -165,6 +165,14 @@ def test_witness_search_bridge_package_matches_known_refutation():
     _assert_witnesses_layout(BRIDGE)
 
 
+def test_package_text_names_the_whole_unary_bound():
+    pkg = witness_search(FAN, WB)
+    assert pkg.describe().splitlines()[-1] == (
+        "unary evidence: no refutation among 81 environments "
+        "(locs<=3, vals=[0], gens<=3, heap size<=1)"
+    )
+
+
 def test_witness_search_accepted_layouts_return_none():
     assert witness_search(SHADOW, WB) is None
     assert witness_search(BALLOON, WB) is None

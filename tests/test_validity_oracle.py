@@ -52,9 +52,7 @@ def naive_check_binary_triple(location, pre, run1, run2, post, rho, eta, budget,
     frames = bounded_heaps(budget.max_loc, budget.values)
     checked = 0  # in-budget generator pairs entered
     for g1, g2 in pre_rel.sorted_generators():
-        if not (
-            hoare._within_budget(g1, budget) and hoare._within_budget(g2, budget)
-        ):
+        if not (budget.admits(g1) and budget.admits(g2)):
             continue
         checked += 1
         frames1 = [f for f in frames if compose(g1, f) is not None]
