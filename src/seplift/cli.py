@@ -217,9 +217,9 @@ def _cmd_search(args, out: _Output) -> int:
         "rho": {n: format_relation(r) for n, r in result.rho.items()},
         "witness": [format_heap(h) for h in result.witness],
     }
-    rho_text = ", ".join(f"{n} -> {format_relation(r)}" for n, r in result.rho.items())
-    witness = "(" + ", ".join(str(h) for h in result.witness) + ")"
-    out.emit(record, f"COUNTEREXAMPLE: {rho_text}; witness {witness}")
+    bindings = ", ".join(f"{n} -> {format_relation(r)}" for n, r in result.rho.items())
+    witness = "witness (" + ", ".join(str(h) for h in result.witness) + ")"
+    out.emit(record, "COUNTEREXAMPLE: " + "; ".join(filter(None, (bindings, witness))))
     return _EXIT_NEGATIVE
 
 

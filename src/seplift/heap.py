@@ -45,19 +45,12 @@ _CELL_BITS: dict[tuple[int, int], int] = {}
 _LOC_BITS: dict[int, int] = {}
 
 
-def _cell_bit(loc: int, val: int) -> int:
-    bit = _CELL_BITS.get((loc, val))
+def _bit(registry: dict, key) -> int:
+    """The bit of `key` in an append-only registry, assigned on first sight."""
+    bit = registry.get(key)
     if bit is None:
         with _registry_lock:
-            bit = _CELL_BITS.setdefault((loc, val), 1 << len(_CELL_BITS))
-    return bit
-
-
-def _loc_bit(loc: int) -> int:
-    bit = _LOC_BITS.get(loc)
-    if bit is None:
-        with _registry_lock:
-            bit = _LOC_BITS.setdefault(loc, 1 << len(_LOC_BITS))
+            bit = registry.setdefault(key, 1 << len(registry))
     return bit
 
 
@@ -74,8 +67,8 @@ class Heap:
         for loc, val in cells_tuple:
             if loc <= 0:
                 raise ValueError(f"heap locations must be positive, got {loc}")
-            bits |= _cell_bit(loc, val)
-            locmask |= _loc_bit(loc)
+            bits |= _bit(_CELL_BITS, (loc, val))
+            locmask |= _bit(_LOC_BITS, loc)
         _set_slots(self, cells_tuple, bits, locmask)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -218,30 +211,60 @@ def segregating_sets(
     return [[frozenset(cell) for cell in row] for row in matrix]
 
 
-_HEAP_CELL_RE = re.compile(
-    r"\s*(\d+)\s*(?:(?:\|->|↦|:)\s*(-?\d+))?\s*$",
-)
+# The one token pattern of heap and relation literals (the grammar is in the
+# `relations` docstring): a keyword with its parenthesis, a cell (which may be
+# a bare integer), any other single character, or "" at the end of the text.
+_LITERAL_TOKEN_RE = re.compile(r"\s*((?i:top|empty)\(|-?[0-9]+(?:\s*(?:\|->|:)\s*-?[0-9]+)?|\S|\Z)")
+
+
+class _LiteralReader:
+    """Recursive descent over the tokens of a heap or relation literal."""
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+        self.tokens = _LITERAL_TOKEN_RE.findall(text)
+
+    def take(self, *expected: str) -> str:
+        """The next token, one of `expected`, where "the end" stands for ""."""
+        tok = self.tokens[self.pos]
+        if (tok or "the end") not in expected:
+            offset = [m.start(1) for m in _LITERAL_TOKEN_RE.finditer(self.text)][self.pos]
+            wanted = " or ".join(e if " " in e else repr(e) for e in expected)
+            raise ValueError(f"expected {wanted} at offset {offset} in {self.text!r}")
+        self.pos += 1
+        return tok
+
+    def sequence(self, open_: str, item, close: str, empty_ok: bool = True) -> list:
+        """``open_ [item (',' item)*] close``, the item required unless `empty_ok`."""
+        self.take(open_)
+        items = [] if empty_ok and self.tokens[self.pos] == close else [item()]
+        while self.take(",", close) == ",":
+            items.append(item())
+        return items
+
+    def cell(self) -> tuple[int, int]:
+        """A cell token, which ends in a digit: `loc`, `loc|->int` or `loc:int`."""
+        tok = self.tokens[self.pos]
+        tok = self.take(tok if "0" <= tok[-1:] <= "9" else "a cell")
+        loc, _, val = tok.replace("|->", ":").partition(":")
+        return int(loc), int(val or 0)
+
+    def heap(self) -> Heap:
+        cells = self.sequence("[", self.cell, "]")
+        if len(dict(cells)) < len(cells):
+            raise ValueError(f"duplicate location in {self.text!r}")
+        return Heap(cells)
+
+    def heap_tuple(self) -> tuple[Heap, ...]:
+        return tuple(self.sequence("(", self.heap, ")", empty_ok=False))
 
 
 def parse_heap(text: str) -> Heap:
     """Parse a heap literal: "[1|->0, 2:5]", "[]", or "[1,2]" (cells storing 0)."""
-    stripped = text.strip()
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise ValueError(f"heap literal must be bracketed: {text!r}")
-    body = stripped[1:-1].strip()
-    if not body:
-        return EMPTY_HEAP
-    mapping: dict[int, int] = {}
-    for part in body.split(","):
-        m = _HEAP_CELL_RE.match(part)
-        if not m:
-            raise ValueError(f"bad heap cell {part!r} in {text!r}")
-        loc = int(m.group(1))
-        val = int(m.group(2)) if m.group(2) is not None else 0
-        if loc in mapping:
-            raise ValueError(f"duplicate location {loc} in {text!r}")
-        mapping[loc] = val
-    return Heap(mapping)
+    reader = _LiteralReader(text)
+    h = reader.heap()
+    reader.take("the end")
+    return h
 
 
 def format_heap(h: Heap) -> str:

@@ -318,8 +318,7 @@ def _template_instances(g: LayoutGraph) -> Iterator[ImplicationForm]:
 
 
 def witness_search(
-    subject: ImplicationForm | LayoutGraph,
-    budget: SearchBudget = DEFAULT_BUDGET,
+    form: ImplicationForm, budget: SearchBudget = DEFAULT_BUDGET
 ) -> CounterexamplePackage | None:
     """Search for a unary-valid, binary-invalid instance of a layout.
 
@@ -330,21 +329,21 @@ def witness_search(
     arity refutes them.  The rest are kept when they survive a bounded unary
     validity search and refuted with the binary environment search.
     """
-    g = subject if isinstance(subject, LayoutGraph) else compute_layout(subject)
+    g = compute_layout(form)
     if _layout_verdict(g):
         return None
 
     unary_budget = _unary_evidence_budget(budget)
-    for form in _template_instances(g):
-        if pc_check(form, {}, budget):
+    for instance in _template_instances(g):
+        if pc_check(instance, {}, budget):
             continue
-        lhs, rhs = implication_assertions(form)
+        lhs, rhs = implication_assertions(instance)
         if find_counter_env(lhs, rhs, {}, 1, unary_budget) is not None:
             continue  # not (boundedly) unary valid; useless as a witness
         refutation = find_counter_env(lhs, rhs, {}, 2, budget)
         if refutation is not None:
             return CounterexamplePackage(
-                form,
+                instance,
                 {},
                 refutation.rho,
                 refutation.witness,

@@ -12,6 +12,15 @@ size, which is what the counterexample machinery relies on: relations such as
 Generator sets are kept as antichains: a generator extending another is
 redundant and is dropped.  Two relations are equal iff their antichains are
 equal, so structural equality coincides with semantic equality.
+
+Relation literals (``parse_relation``, ``format_relation``; ``parse_heap``
+reads the ``heap`` rule) follow one grammar.  A keyword with its parenthesis
+is one token, of any case, and so is a cell; a cell without a value stores 0::
+
+    relation := TOP(n) | EMPTY(n) | '{' [tuple (',' tuple)*] '}'
+    tuple    := '(' heap (',' heap)* ')'
+    heap     := '[' [cell (',' cell)*] ']'
+    cell     := loc [('|->' | ':') int]
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .heap import EMPTY_HEAP, Heap, compose, extends, merge, parse_heap
+from .heap import EMPTY_HEAP, Heap, _LiteralReader, compose, extends, merge
 
 __all__ = [
     "GenRel",
@@ -211,77 +220,28 @@ def delta(n: int, p: GenRel) -> GenRel:
     return GenRel(n, [(g[0],) * n for g in p.generators])
 
 
-_KEYWORD_FORMS = ("TOP", "EMPTY")
-
-
 def parse_relation(text: str, arity: int | None = None) -> GenRel:
-    """Parse a relation literal.
-
-    Accepted forms: "TOP(n)", "EMPTY(n)", or a generator-set literal such as
-    "{ ([1|->0],[]) , ([2|->0],[2|->0]) }" denoting the upward closure of the
-    listed tuples.
-    """
-    stripped = text.strip()
-    for keyword in _KEYWORD_FORMS:
-        if stripped.upper().startswith(keyword + "("):
-            inner = stripped[len(keyword) + 1 :].strip()
-            if not inner.endswith(")"):
-                raise ValueError(f"malformed relation literal {text!r}")
-            try:
-                n = int(inner[:-1])
-            except ValueError:
-                raise ValueError(f"malformed relation literal {text!r}") from None
-            if arity is not None and n != arity:
-                raise ValueError(f"{text!r} has arity {n}, expected {arity}")
-            return top(n) if keyword == "TOP" else empty(n)
-    if not (stripped.startswith("{") and stripped.endswith("}")):
-        raise ValueError(f"relation literal must be braced or TOP/EMPTY: {text!r}")
-    body = stripped[1:-1].strip()
-    tuples: list[HeapTuple] = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace() or body[pos] == ",":
-            pos += 1
-            continue
-        if body[pos] != "(":
-            raise ValueError(f"expected '(' at offset {pos} in {text!r}")
-        depth_end = body.find(")", pos)
-        if depth_end < 0:
-            raise ValueError(f"unclosed tuple in {text!r}")
-        chunk = body[pos + 1 : depth_end]
-        heaps = _split_heap_list(chunk)
-        tuples.append(tuple(parse_heap(h) for h in heaps))
-        pos = depth_end + 1
-    if not tuples and arity is None:
-        raise ValueError(
-            "empty generator literal needs an explicit arity; use EMPTY(n)"
-        )
-    arities = {len(t) for t in tuples} or {arity}
-    if len(arities) > 1:
-        raise ValueError(f"mixed tuple arities in {text!r}")
-    (n,) = arities
+    """Parse a relation literal; the grammar is in the module docstring."""
+    reader = _LiteralReader(text)
+    tokens = reader.tokens
+    keyword = tokens[0].upper()
+    if keyword in ("TOP(", "EMPTY("):
+        if tokens[2:4] != [")", ""] or not tokens[1].lstrip("-").isdigit():
+            raise ValueError(f"malformed relation literal {text!r}")
+        n = int(tokens[1])
+        tuples = [(EMPTY_HEAP,) * n] if keyword == "TOP(" else []
+    else:
+        tuples = reader.sequence("{", reader.heap_tuple, "}")
+        reader.take("the end")
+        if not tuples and arity is None:
+            raise ValueError("empty generator literal needs an explicit arity; use EMPTY(n)")
+        arities = {len(t) for t in tuples} or {arity}
+        if len(arities) > 1:
+            raise ValueError(f"mixed tuple arities in {text!r}")
+        (n,) = arities
     if arity is not None and n != arity:
         raise ValueError(f"{text!r} has arity {n}, expected {arity}")
     return GenRel(n, tuples)
-
-
-def _split_heap_list(chunk: str) -> list[str]:
-    parts = []
-    depth = 0
-    current = ""
-    for ch in chunk:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        parts.append(current)
-    return [p.strip() for p in parts if p.strip()]
 
 
 def format_relation(r: GenRel) -> str:

@@ -332,6 +332,9 @@ def parse_scenario(text: str) -> Scenario:
                 f"line {number}: expected a section header ({', '.join(_SECTIONS)})"
             )
         sections[current].append((number, line.strip()))
+    for key in ("client", "pre", "post"):
+        if not sections[key]:
+            raise ValueError(f"the scenario has no {key}: section")
 
     avars: frozenset[str] = frozenset()
     eta: dict[str, int] = {}

@@ -67,6 +67,16 @@ def test_search_subcommand(capsys):
     assert code == 0 and "NONE" in out
 
 
+def test_search_without_assertion_variables_prints_no_empty_environment(capsys, tmp_path):
+    source = tmp_path / "false.imp"
+    source.write_text("true |= false\n")
+    code, out = run(capsys, "search", str(source))
+    assert code == 1
+    assert out == "COUNTEREXAMPLE: witness ([], [])\n"
+    code, out = run(capsys, "--format", "structured", "search", str(source))
+    assert json.loads(out)["rho"] == {}
+
+
 def test_search_names_its_bound(capsys):
     fan = str(SCENARIOS / "fan.imp")
     code, out = run(capsys, "--arity", "1", "--vals", "0,1", "--locs", "2", "search", fan)

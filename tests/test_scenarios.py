@@ -244,6 +244,17 @@ def test_scenario_without_coupling_section_still_parses():
     assert scenario.coupling == {}
 
 
+@pytest.mark.parametrize("section", ["client", "pre", "post"])
+def test_scenario_without_a_required_section_names_it(section):
+    # It used to fail on the empty text, e.g. "expected an assertion at offset 0: ''".
+    text = (SCENARIO_DIR / "goodbad_good.scn").read_text()
+    lines = text.splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(f"{section}:")]
+    assert len(kept) == len(lines) - 1
+    with pytest.raises(ValueError, match=f"^the scenario has no {section}: section$"):
+        parse_scenario("".join(kept))
+
+
 @pytest.mark.parametrize(
     "section, anchor, extra, name",
     [

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import AVARS, SCENARIO_DIR, assertions, gen_rels, naive_interpret
-from seplift.catalog import make_form
+from seplift.catalog import CURATED_SUITE, make_form
 from seplift.heap import EMPTY_HEAP, Heap, cells, heap
 from seplift.normalize import implication_assertions
 from seplift.relations import GenRel, delta, empty, equivalent, included, member, top
 from seplift.semantics import (
+    DEFAULT_BUDGET,
     SearchBudget,
     ValueDomain,
     bounded_heaps,
@@ -22,6 +23,7 @@ from seplift.semantics import (
 from seplift.syntax import (
     And,
     AssertEnv,
+    AVar,
     BoolAtom,
     Exists,
     Forall,
@@ -287,3 +289,53 @@ def test_bounded_heaps_sorted_and_complete():
     assert len(heaps) == 9
     assert heaps == sorted(heaps, key=Heap.sort_key)
     assert len(bounded_heaps(2, (0, 1), max_cells=1)) == 5
+
+
+def _left_bound(phi, name: str, value_count: int) -> int:
+    """How many generators of `name` one generator of phi's meaning uses:
+    1 per occurrence, summed over * and /\\, the maximum over \\/, an EX body
+    once, and an ALL body once per quantifier value."""
+    if isinstance(phi, AVar):
+        return int(phi.name == name)
+    if isinstance(phi, (Star, And, Or)):
+        sides = [_left_bound(side, name, value_count) for side in (phi.left, phi.right)]
+        return max(sides) if isinstance(phi, Or) else sum(sides)
+    if isinstance(phi, Exists):
+        return _left_bound(phi.body, name, value_count)
+    if isinstance(phi, Forall):
+        return value_count * _left_bound(phi.body, name, value_count)
+    return 0
+
+
+# The .imp files at the arities their header comments name: fan and bridge
+# are binary invalid, scaled is binary valid and ternary invalid.
+IMP_ARITIES = {"bridge": (1, 2), "fan": (1, 2), "good": (1, 2), "scaled": (1, 2, 3)}
+
+
+def test_first_refutation_keeps_each_variable_within_its_left_occurrence_bound():
+    # A refutation (rho, h) shrinks: keeping only the generators of rho(a)
+    # that h's left generator uses keeps h on the left and off the right,
+    # with fewer generators in all.  The search visits environments by total
+    # generator count, so the first refutation it returns is already shrunk.
+    cases = [
+        (*implication_assertions(entry.form), {}, n)
+        for entry in CURATED_SUITE
+        for n in (1, 2)
+    ]
+    for name, arities in IMP_ARITIES.items():
+        doc = parse_assertion_file((SCENARIO_DIR / f"{name}.imp").read_text(encoding="utf-8"))
+        cases += [(*doc.implications[0], doc.eta, n) for n in arities]
+    dom = DEFAULT_BUDGET.domain()
+    refuted = []
+    for lhs, rhs, eta, n in cases:
+        found = find_counter_env(lhs, rhs, eta, n)
+        if found is None:
+            continue
+        refuted.append(n)
+        for name, rel in found.rho.items():
+            assert len(rel.generators) <= _left_bound(lhs, name, len(dom.values))
+            # without any one of its generators the witness leaves the left side
+            for gen in rel.generators:
+                fewer = AssertEnv(n, {**found.rho.mapping, name: GenRel(n, rel.generators - {gen})})
+                assert not member(interpret(lhs, eta, fewer, n, dom), found.witness)
+    assert 3 in refuted and len(refuted) >= 5
