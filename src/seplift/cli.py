@@ -291,11 +291,7 @@ def _cmd_validity(args, out: _Output) -> int:
 
 
 def _cmd_demo(args, out: _Output) -> int:
-    try:
-        report = demo(args.name)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return _EXIT_INPUT
+    report = demo(args.name)
     record = {
         "demo": report.name,
         "ok": report.ok,

@@ -474,6 +474,11 @@ def demo(name: str) -> DemoReport:
         raise ValueError(f"unknown demo {name!r}; available: {', '.join(DEMO_NAMES)}")
     title, values, cases = _DEMOS[name]
     scenario_dir = Path(__file__).resolve().parents[2] / "scenarios"
+    if not scenario_dir.is_dir():
+        raise ValueError(
+            "the demos read scenarios/*.scn from a source checkout; "
+            f"no such directory: {scenario_dir}"
+        )
     budget = SearchBudget(3, values)
     dom = budget.domain()
     lines = [title]

@@ -41,7 +41,7 @@ locations and values as its only bound (see its docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
@@ -162,18 +162,15 @@ DEFAULT_BUDGET = SearchBudget()
 # --- interpretation ---------------------------------------------------------
 
 
-def _freeze_eta(eta: Mapping[str, int] | None) -> tuple[tuple[str, int], ...]:
-    if not eta:
-        return ()
-    return tuple(sorted(eta.items()))
-
-
 @lru_cache(maxsize=1 << 14)
-def _prim_unary(
-    prim: Assertion, eta_key: tuple[tuple[str, int], ...], dom: ValueDomain
-) -> GenRel:
-    """Standard meaning of a primitive predicate as a unary relation."""
-    eta = dict(eta_key)
+def _prim_unary(prim: Assertion, bindings: frozenset, dom: ValueDomain) -> GenRel:
+    """Standard meaning of a primitive predicate as a unary relation.
+
+    Cached across calls: searches and proof checks meet the same primitives
+    again and again, and rebuilding their heaps and relations costs more than
+    the lookup.
+    """
+    eta = dict(bindings)
     if isinstance(prim, PointsTo):
         loc = eval_expr(prim.addr, eta)
         if loc <= 0:
@@ -209,12 +206,12 @@ def interpret(
     _require_positive_arity(n)
     if rho is not None and rho.arity != n:
         raise ValueError(f"environment arity {rho.arity} does not match n={n}")
-    return _evaluate(phi, _freeze_eta(eta), rho, n, dom)
+    return _evaluate(phi, eta or {}, rho, n, dom)
 
 
 def _evaluate(
     phi: Assertion,
-    eta_key: tuple[tuple[str, int], ...],
+    eta: Mapping[str, int],
     rho: AssertEnv | None,
     n: int,
     dom: ValueDomain,
@@ -222,16 +219,10 @@ def _evaluate(
     """Compile `phi` with rho's variables as its inputs and apply it once."""
     bound = rho.items() if rho is not None else []
     index = {name: i for i, (name, _) in enumerate(bound)}
-    compiled = _compile(phi, eta_key, n, dom, index, set())
+    compiled = _compile(phi, eta, n, dom, index, set())
     if isinstance(compiled, GenRel):
         return compiled
     return compiled([rel for _, rel in bound])
-
-
-def _bind(
-    eta_key: tuple[tuple[str, int], ...], var: str, value: int
-) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted((dict(eta_key) | {var: value}).items()))
 
 
 _PRIMITIVES = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)
@@ -244,7 +235,7 @@ Compiled = GenRel | Callable[[Sequence[GenRel]], GenRel]
 
 def _compile(
     phi: Assertion,
-    eta_key: tuple[tuple[str, int], ...],
+    eta: Mapping[str, int],
     n: int,
     dom: ValueDomain,
     index: Mapping[str, int],
@@ -254,7 +245,7 @@ def _compile(
     position in the relation list the result is applied to.
 
     Walks `phi` once, left to right, so errors are raised in evaluation
-    order: UnboundVariable for a normal variable missing from `eta_key` or an
+    order: UnboundVariable for a normal variable missing from `eta` or an
     assertion variable missing from `index`.  Each primitive is evaluated
     once, and its unary meaning is added to `prims`; quantifiers are expanded
     over `dom.values`; a connective whose operands are both constants is
@@ -262,7 +253,7 @@ def _compile(
     variables.
     """
     if isinstance(phi, _PRIMITIVES):
-        meaning = _prim_unary(phi, eta_key, dom)
+        meaning = _prim_unary(phi, frozenset(eta.items()), dom)
         prims.add(meaning)
         return delta(n, meaning)
     if isinstance(phi, AVar):
@@ -276,13 +267,13 @@ def _compile(
     if isinstance(phi, (Star, And, Or)):
         return _combine(
             _CONNECTIVES[type(phi)],
-            _compile(phi.left, eta_key, n, dom, index, prims),
-            _compile(phi.right, eta_key, n, dom, index, prims),
+            _compile(phi.left, eta, n, dom, index, prims),
+            _compile(phi.right, eta, n, dom, index, prims),
         )
     if isinstance(phi, (Exists, Forall)):
         op = union if isinstance(phi, Exists) else meet
         parts = [
-            _compile(phi.body, _bind(eta_key, phi.var, v), n, dom, index, prims)
+            _compile(phi.body, {**eta, phi.var: v}, n, dom, index, prims)
             for v in dom.values
         ]
         constants = [p for p in parts if isinstance(p, GenRel)]
@@ -358,13 +349,6 @@ def bounded_heaps(
     return out
 
 
-def _bounded_tuples(n: int, budget: SearchBudget) -> list[HeapTuple]:
-    heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
-    tuples = [t for t in product(heaps, repeat=n)]
-    tuples.sort(key=tuple_sort_key)
-    return tuples
-
-
 def candidate_relations(n: int, budget: SearchBudget) -> list[list[GenRel]]:
     """Candidate relations within budget, grouped by generator count.
 
@@ -372,19 +356,7 @@ def candidate_relations(n: int, budget: SearchBudget) -> list[list[GenRel]]:
     are listed: a generator set with a redundant tuple denotes the same
     relation as its minimization, so nothing is lost.
     """
-    tuples = _bounded_tuples(n, budget)
-    by_size: list[list[GenRel]] = [[GenRel(n, [])]]
-    for size in range(1, budget.max_generators + 1):
-        group: list[GenRel] = []
-        for combo in combinations(tuples, size):
-            if size > 1 and any(
-                tuple_extends(a, b) or tuple_extends(b, a)
-                for a, b in combinations(combo, 2)
-            ):
-                continue
-            group.append(GenRel(n, combo))
-        by_size.append(group)
-    return by_size
+    return _CandidateSpace(n, budget).by_size
 
 
 def _size_vectors(num_vars: int, max_size: int) -> Iterable[tuple[int, ...]]:
@@ -406,18 +378,39 @@ class CounterexampleEnv:
 class _CandidateSpace:
     """The candidate relations of one (n, budget) and their symmetries.
 
-    `by_size` is `candidate_relations(n, budget)`.  `location_perms` lists
-    the permutations of the locations 1..max_loc.  `tables(sigma)` gives one
-    index table per permutation of the n coordinates, for the location
-    permutation `sigma`: table[k][i] is the position in by_size[k] of the
-    renamed by_size[k][i].  The identity is left out.  A permutation's
-    tables are built the first time a search keeps it.
+    `tuples` lists the bounded n-tuples of heaps in `tuple_sort_key` order.
+    `combos[k]` lists the generator antichains of size k, in
+    `combinations` order, each as a sorted tuple of indices into `tuples`;
+    `by_size[k]` holds their relations, so by_size is the list
+    `candidate_relations` returns.  `location_perms` lists the permutations
+    of the locations 1..max_loc.  `tables(sigma)` gives one index table per
+    permutation of the n coordinates, for the location permutation `sigma`:
+    table[k][i] is the position in by_size[k] of the renamed by_size[k][i].
+    The identity is left out.  A permutation's tables are built the first
+    time a search keeps it.
     """
 
     def __init__(self, n: int, budget: SearchBudget):
         self.n = n
-        self.budget = budget
-        self.by_size = candidate_relations(n, budget)
+        heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
+        tuples = sorted(product(heaps, repeat=n), key=tuple_sort_key)
+        self.tuples = tuples
+        self.combos: list[list[tuple[int, ...]]] = [[()]] + [
+            [
+                combo
+                for combo in combinations(range(len(tuples)), size)
+                if not any(
+                    tuple_extends(tuples[a], tuples[b])
+                    or tuple_extends(tuples[b], tuples[a])
+                    for a, b in combinations(combo, 2)
+                )
+            ]
+            for size in range(1, budget.max_generators + 1)
+        ]
+        self.by_size = [
+            [GenRel(n, [tuples[i] for i in combo]) for combo in group]
+            for group in self.combos
+        ]
         locs = range(1, budget.max_loc + 1)
         self.location_perms = tuple(
             dict(zip(locs, images)) for images in permutations(locs)
@@ -430,23 +423,11 @@ class _CandidateSpace:
             self._tables[key] = self._build_tables(sigma)
         return self._tables[key]
 
-    @cached_property
-    def _positions(self):
-        """The bounded tuples, each tuple's index, and each relation's
-        generators as a sorted tuple of indices, with its position."""
-        tuples = _bounded_tuples(self.n, self.budget)
-        tuple_pos = {t: i for i, t in enumerate(tuples)}
-        combos = [
-            [tuple(sorted(tuple_pos[t] for t in rel.generators)) for rel in group]
-            for group in self.by_size
-        ]
-        combo_pos = [{c: i for i, c in enumerate(group)} for group in combos]
-        return tuples, tuple_pos, combos, combo_pos
-
     def _build_tables(self, sigma: dict[int, int]) -> tuple:
-        tuples, tuple_pos, combos, combo_pos = self._positions
-        budget = self.budget
-        heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
+        tuples = self.tuples
+        tuple_pos = {t: i for i, t in enumerate(tuples)}
+        combo_pos = [{c: i for i, c in enumerate(group)} for group in self.combos]
+        heaps = {h for t in tuples for h in t}
         renamed = {h: Heap({sigma[loc]: v for loc, v in h.cells}) for h in heaps}
         identity = all(loc == image for loc, image in sigma.items())
         tables = []
@@ -458,7 +439,7 @@ class _CandidateSpace:
             ]
             tables.append(tuple(
                 tuple(pos[tuple(sorted(tuple_map[t] for t in c))] for c in group)
-                for group, pos in zip(combos, combo_pos)
+                for group, pos in zip(self.combos, combo_pos)
             ))
         return tuple(tables)
 
@@ -530,7 +511,9 @@ def find_counter_env(
     the budget) in increasing total generator count, deterministically;
     returns the first refutation found, or None when the budget space is
     exhausted.  None is not a validity proof: it only rules out refutations
-    within the budget and value domain.
+    within the budget and value domain.  There is one loop for every
+    implication: with no assertion variables its only size vector is the
+    empty one, and it visits the one empty environment.
 
     Environments are visited once per symmetry class.  The symmetries are
     the pairs of a permutation of the locations 1..max_loc that maps the
@@ -553,18 +536,11 @@ def find_counter_env(
     _require_positive_arity(n)
     variables = sorted(assertion_vars(lhs) | assertion_vars(rhs))
     dom = budget.domain()
-    eta_key = _freeze_eta(eta)
+    eta = eta or {}
     index = {name: i for i, name in enumerate(variables)}
     prims: set[GenRel] = set()
-    lhs_compiled = _compile(lhs, eta_key, n, dom, index, prims)
-    rhs_compiled = _compile(rhs, eta_key, n, dom, index, prims)
-    if not variables:
-        witness = _first_escapee(lhs_compiled, rhs_compiled)
-        if witness is not None:
-            return CounterexampleEnv(AssertEnv(n, {}), witness)
-        return None
-
-    lhs_of, rhs_of = _as_function(lhs_compiled), _as_function(rhs_compiled)
+    lhs_of = _as_function(_compile(lhs, eta, n, dom, index, prims))
+    rhs_of = _as_function(_compile(rhs, eta, n, dom, index, prims))
     space = _candidate_space(n, budget)
     tables = _symmetry_tables(space, prims)
     by_size = space.by_size
@@ -660,13 +636,13 @@ def pc_check(
     conjunct is a generator of `uncovered[i]`; Fails yields those.
     """
     dom = budget.domain()
-    eta_key = _freeze_eta(eta)
+    eta = eta or {}
     layout = compute_layout(form)
-    disj_rels = [_evaluate(d.base, eta_key, None, 1, dom) for d in form.disjuncts]
+    disj_rels = [_evaluate(d.base, eta, None, 1, dom) for d in form.disjuncts]
     uncovered = []
     for i, clause in enumerate(form.conjuncts):
         dominated = [r for j, r in enumerate(disj_rels) if layout.edge(i, j).solid]
-        base = _evaluate(clause.base, eta_key, None, 1, dom)
+        base = _evaluate(clause.base, eta, None, 1, dom)
         uncovered.append(GenRel(1, [
             g
             for g in base.generators

@@ -1,7 +1,11 @@
 import json
+import os
 import pathlib
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -222,6 +226,24 @@ def test_demo_subcommand(capsys):
     code, out = run(capsys, "demo", "goodbad")
     assert code == 0
     assert "[1|->1] vs [1|->2]" in out
+
+
+def test_demo_outside_a_checkout_names_the_missing_scenarios(tmp_path):
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "seplift"
+    site = tmp_path / "site"
+    shutil.copytree(package, site / "seplift", ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "seplift.cli", "demo", "counter"],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(site)),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: the demos read scenarios/*.scn from a source checkout; "
+        f"no such directory: {tmp_path.resolve() / 'scenarios'}\n"
+    )
 
 
 def test_input_errors_exit_two(capsys, tmp_path):

@@ -24,7 +24,6 @@ from seplift.semantics import (
     PCWitness,
     SearchBudget,
     _evaluate,
-    _freeze_eta,
     bounded_heaps,
     pc_check,
 )
@@ -43,10 +42,9 @@ def _subheaps(h: Heap) -> list[Heap]:
 
 def naive_pc_check(form, eta, budget=DEFAULT_BUDGET, dom=None) -> PCVerdict:
     dom = dom or budget.domain()
-    eta_key = _freeze_eta(eta)
     layout = compute_layout(form)
-    conj_rels = [_evaluate(c.base, eta_key, None, 1, dom) for c in form.conjuncts]
-    disj_rels = [_evaluate(d.base, eta_key, None, 1, dom) for d in form.disjuncts]
+    conj_rels = [_evaluate(c.base, eta, None, 1, dom) for c in form.conjuncts]
+    disj_rels = [_evaluate(d.base, eta, None, 1, dom) for d in form.disjuncts]
     dominated = [
         [
             j

@@ -6,10 +6,14 @@ left relation is empty.  `naive_find_counter_env` is the loop without any of
 that: it tries every environment of every size group in order, as an
 `AssertEnv`, through `naive_interpret` and a sorted scan for the escapee.
 Both must return the same environment and witness, or both None.
+
+The naive loop takes its candidates from `candidate_relations`, so that list
+is checked on its own against `naive_candidate_relations`, the antichain
+filter over sorted generator tuples it replaced.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
@@ -17,7 +21,7 @@ import pytest
 from conftest import AVARS, SCENARIO_DIR, naive_interpret
 from seplift.catalog import CURATED_SUITE
 from seplift.normalize import implication_assertions
-from seplift.relations import member
+from seplift.relations import GenRel, member, tuple_extends, tuple_sort_key
 from seplift.semantics import (
     CounterexampleEnv,
     SearchBudget,
@@ -25,11 +29,51 @@ from seplift.semantics import (
     _compile,
     _size_vectors,
     _symmetry_tables,
+    bounded_heaps,
     candidate_relations,
     env_candidate_count,
     find_counter_env,
 )
 from seplift.syntax import AssertEnv, assertion_vars, parse, parse_assertion_file
+
+
+def naive_candidate_relations(n, budget):
+    heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
+    tuples = [t for t in product(heaps, repeat=n)]
+    tuples.sort(key=tuple_sort_key)
+    by_size = [[GenRel(n, [])]]
+    for size in range(1, budget.max_generators + 1):
+        group = []
+        for combo in combinations(tuples, size):
+            if size > 1 and any(
+                tuple_extends(a, b) or tuple_extends(b, a)
+                for a, b in combinations(combo, 2)
+            ):
+                continue
+            group.append(GenRel(n, combo))
+        by_size.append(group)
+    return by_size
+
+
+# (arity, budget): the default at arities 1-3, witness_search's unary
+# evidence budget, and heaps of two cells or three generators; at most 64
+# bounded tuples each.
+CANDIDATE_BUDGETS = [
+    (1, SearchBudget()),
+    (2, SearchBudget()),
+    (3, SearchBudget()),
+    (1, SearchBudget(4, (0,), 3, 1)),
+    (1, SearchBudget(2, (0, 1), 2, 2)),
+    (2, SearchBudget(2, (0, 1), 2, 1)),
+    (2, SearchBudget(2, (0,), 3, 2)),
+]
+
+
+@pytest.mark.parametrize("n, budget", CANDIDATE_BUDGETS)
+def test_candidate_relations_match_the_antichain_filter(n, budget):
+    got = candidate_relations(n, budget)
+    assert got == naive_candidate_relations(n, budget)
+    assert len(got[1]) == len(_candidate_space(n, budget).tuples) <= 64
 
 
 def naive_first_escapee(lhs_rel, rhs_rel):
@@ -68,6 +112,18 @@ def assert_same_search(lhs, rhs, eta, n, budget=SearchBudget()):
 def test_curated_entries_match_naive_search(entry, n):
     lhs, rhs = implication_assertions(entry.form)
     assert_same_search(lhs, rhs, {}, n)
+
+
+# No assertion variables: the search visits the one empty environment.
+VARIABLE_FREE = ["true |= false", "1|->_ |= -", "- * - |= 1|->_"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("text", VARIABLE_FREE)
+def test_variable_free_implications_match_naive_search(text, n):
+    lhs, rhs = (parse(side, AVARS) for side in text.split("|="))
+    got = assert_same_search(lhs, rhs, {}, n)
+    assert (got is None) == (text == "1|->_ |= -")
 
 
 @pytest.mark.parametrize(
@@ -135,12 +191,12 @@ def test_seeded_formulas_match_naive_search():
         assert_same_search(lhs, rhs, eta, n, SearchBudget(max_loc))
 
 
-def _primitive_meanings(sides, eta_key, n, dom):
+def _primitive_meanings(sides, eta, n, dom):
     """The unary meanings of the primitives in `sides`, as compiling collects them."""
     meanings = set()
     index = {"a": 0}
     for phi in sides:
-        _compile(phi, eta_key, n, dom, index, meanings)
+        _compile(phi, eta, n, dom, index, meanings)
     return meanings
 
 
@@ -151,8 +207,8 @@ def test_formula_naming_every_location_keeps_only_coordinate_symmetries(n):
     dom = budget.domain()
     named = (parse("1|->_ * 2|->_ /\\ a", AVARS), parse("a * (x |-> _)", AVARS))
     free = (parse("- /\\ a", AVARS), parse("a * true", AVARS))
-    named_meanings = _primitive_meanings(named, (("x", 3),), n, dom)
-    free_meanings = _primitive_meanings(free, (), n, dom)
+    named_meanings = _primitive_meanings(named, {"x": 3}, n, dom)
+    free_meanings = _primitive_meanings(free, {}, n, dom)
     assert len(_symmetry_tables(space, named_meanings)) == factorial(n) - 1
     assert len(_symmetry_tables(space, free_meanings)) == factorial(n) * 6 - 1
 
