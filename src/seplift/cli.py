@@ -15,22 +15,15 @@ import json
 import sys
 
 from .heap import format_heap
-from .hoare import check_proof, two_validity_test
 from .layout import compute_layout, to_dot
 from .lifting import (
     CounterexamplePackage,
     NO_GUARANTEE_NOTE,
     chk,
-    lift_check,
     verify_package,
     witness_search,
 )
-from .normalize import (
-    format_implication,
-    reduce_implication,
-    simple_assertion,
-    to_simple,
-)
+from .normalize import format_implication, simple_assertion, to_simple
 from .relations import format_relation
 from .scenarios import DEMO_NAMES, demo, parse_scenario
 from .semantics import SearchBudget, find_counter_env, pc_check
@@ -84,13 +77,12 @@ def _first_implication(path: str):
     return doc
 
 
-def _reduced_family(doc, path: str):
-    lhs, rhs = doc.implications[0]
-    simple_lhs = to_simple(lhs)
-    simple_rhs = to_simple(rhs)
-    if simple_lhs is None or simple_rhs is None:
-        raise ValueError(f"{path}: implication sides have no simple form")
-    return lhs, rhs, reduce_implication(simple_lhs, simple_rhs)
+def _family(doc, path: str):
+    """The first implication's (member, verdict) pairs; none if a side is not simple."""
+    report = chk(*doc.implications[0])
+    if not report.members:
+        raise ValueError(f"{path}: {report.reason}")
+    return report.members
 
 
 def _package_record(pkg: CounterexamplePackage) -> dict:
@@ -132,8 +124,7 @@ def _cmd_normalize(args, out: _Output) -> int:
 
 def _cmd_reduce(args, out: _Output) -> int:
     doc = _first_implication(args.file)
-    _, _, family = _reduced_family(doc, args.file)
-    for form in family:
+    for form, _ in _family(doc, args.file):
         text = format_implication(form)
         out.emit({"member": text}, text)
     return _EXIT_OK
@@ -141,13 +132,13 @@ def _cmd_reduce(args, out: _Output) -> int:
 
 def _cmd_graph(args, out: _Output) -> int:
     doc = _first_implication(args.file)
-    _, _, family = _reduced_family(doc, args.file)
+    family = _family(doc, args.file)
     if not 0 <= args.member < len(family):
         raise ValueError(
             f"--member {args.member} is out of range; "
             f"the family has {len(family)} member(s), indexed from 0"
         )
-    dot = to_dot(compute_layout(family[args.member]))
+    dot = to_dot(compute_layout(family[args.member][0]))
     if args.out_file:
         with open(args.out_file, "w", encoding="utf-8") as fh:
             fh.write(dot + "\n")
@@ -158,11 +149,10 @@ def _cmd_graph(args, out: _Output) -> int:
 
 def _cmd_lift(args, out: _Output) -> int:
     doc = _first_implication(args.file)
-    _, _, family = _reduced_family(doc, args.file)
+    family = _family(doc, args.file)
     budget = _budget(args)
     all_lift = True
-    for index, form in enumerate(family):
-        verdict = lift_check(form)
+    for index, (form, verdict) in enumerate(family):
         record = {
             "member": format_implication(form),
             "index": index,
@@ -225,11 +215,11 @@ def _cmd_search(args, out: _Output) -> int:
 
 def _cmd_pc(args, out: _Output) -> int:
     doc = _first_implication(args.file)
-    _, _, family = _reduced_family(doc, args.file)
+    family = _family(doc, args.file)
     budget = _budget(args)
     bound, bound_text = _bound(budget)
     all_hold = True
-    for form in family:
+    for form, _ in family:
         verdict = pc_check(form, doc.eta, budget)
         record = {
             "member": format_implication(form),
@@ -248,7 +238,7 @@ def _cmd_prove(args, out: _Output) -> int:
         scenario = parse_scenario(fh.read())
     budget = _budget(args)
     bound, bound_text = _bound(budget)
-    verdict = check_proof(scenario.gamma, scenario.derivation(), budget, scenario.eta)
+    verdict = scenario.prove(budget)
     record = {
         "accepted": verdict.accepted,
         "node": verdict.node,
@@ -264,17 +254,7 @@ def _cmd_validity(args, out: _Output) -> int:
         scenario = parse_scenario(fh.read())
     budget = _budget(args)
     dom = budget.domain()
-    verdict = two_validity_test(
-        scenario.gamma,
-        scenario.modules(),
-        scenario.rho(),
-        scenario.eta,
-        scenario.pre,
-        scenario.client,
-        scenario.post,
-        budget,
-        dom,
-    )
+    verdict = scenario.validity(budget)
     bound = {"vals": list(dom.values), "locs": list(dom.locations)}
     record = {
         "ok": verdict.ok,

@@ -41,6 +41,7 @@ from .relations import HeapTuple, member
 from .semantics import (
     DEFAULT_BUDGET,
     SearchBudget,
+    _size_vectors,
     env_candidate_count,
     find_counter_env,
     interpret,
@@ -288,7 +289,7 @@ _BASE_TEMPLATES: tuple[Assertion, ...] = (
 
 
 def _template_instances(g: LayoutGraph) -> Iterator[ImplicationForm]:
-    """Each template choice of bases, by index sum and then lexicographically.
+    """Each template choice of bases, one index per clause, in `_size_vectors` order.
 
     The 5**slots choices are generated one at a time, never all held at once.
     """
@@ -296,25 +297,11 @@ def _template_instances(g: LayoutGraph) -> Iterator[ImplicationForm]:
         tuple(var for var, count in zip(g.variables, row) for _ in range(count))
         for row in g.pi + g.omega
     ]
-    top_index = len(_BASE_TEMPLATES) - 1
-
-    def with_sum(length: int, total: int) -> Iterator[tuple[int, ...]]:
-        if length == 0:
-            yield ()
-            return
-        low = max(0, total - top_index * (length - 1))
-        for first in range(low, min(top_index, total) + 1):
-            for rest in with_sum(length - 1, total - first):
-                yield (first, *rest)
-
-    for total in range(top_index * len(avars) + 1):
-        for assignment in with_sum(len(avars), total):
-            clauses = tuple(
-                Clause(_BASE_TEMPLATES[t], vs) for t, vs in zip(assignment, avars)
-            )
-            yield ImplicationForm(
-                clauses[: g.conjunct_count], clauses[g.conjunct_count :]
-            )
+    for assignment in _size_vectors(len(avars), len(_BASE_TEMPLATES) - 1):
+        clauses = tuple(
+            Clause(_BASE_TEMPLATES[t], vs) for t, vs in zip(assignment, avars)
+        )
+        yield ImplicationForm(clauses[: g.conjunct_count], clauses[g.conjunct_count :])
 
 
 def witness_search(

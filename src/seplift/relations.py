@@ -145,11 +145,14 @@ class GenRel:
         return f"GenRel({self._arity}, {format_relation(self)})"
 
 
+# One shared (immutable) relation per arity: the evaluator folds constants to them.
+@lru_cache(maxsize=16)
 def top(arity: int) -> GenRel:
     """The full relation Heap^arity (generated by the all-empty tuple)."""
     return GenRel(arity, [(EMPTY_HEAP,) * arity])
 
 
+@lru_cache(maxsize=16)
 def empty(arity: int) -> GenRel:
     return GenRel(arity, [])
 

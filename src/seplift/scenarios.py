@@ -89,12 +89,12 @@ from .syntax import (
     AssertEnv,
     Assertion,
     BoolAtom,
-    ParseError,
     PointsTo,
     PointsToAny,
     UnboundVariable,
     _Parser,
     _is_ident,
+    _on_lines,
     free_vars,
     parse,
     parse_header,
@@ -267,6 +267,8 @@ def _axiom_step(gamma, pre, cmd, post) -> Derivation:
 
 @dataclass
 class Scenario:
+    """A parsed scenario file; the CLI and demos run it by `prove` and `validity`."""
+
     avars: frozenset[str]
     eta: dict[str, int]
     gamma: tuple[Triple, ...]
@@ -283,6 +285,17 @@ class Scenario:
 
     def modules(self) -> tuple[dict, dict]:
         return build_modules(self.impl1, self.eta), build_modules(self.impl2, self.eta)
+
+    def prove(self, budget: SearchBudget) -> ProofVerdict:
+        """Check the proof, its consequence steps gated within `budget`."""
+        return check_proof(self.gamma, self.derivation(), budget, self.eta)
+
+    def validity(self, budget: SearchBudget) -> ValidityVerdict:
+        """Test the context and client triples against both implementations."""
+        return two_validity_test(
+            self.gamma, self.modules(), self.rho(), self.eta,
+            self.pre, self.client, self.post, budget
+        )
 
     def derivation(self) -> Derivation:
         """The proof's derivation, which must conclude the scenario's own
@@ -356,18 +369,6 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario(avars, eta, gamma, impl1, impl2, coupling, client, pre, post, proof)
     _check_bound(scenario)
     return scenario
-
-
-def _on_lines(entries: list[tuple[int, str]], parse_fn, *args, what: str = ""):
-    """``parse_fn`` on the entries' joined text; an error names the first line."""
-    text = " ".join(t for _, t in entries)
-    prefix = (f"line {entries[0][0]}: " if entries else "") + what
-    try:
-        return parse_fn(text, *args)
-    except ParseError as err:
-        raise ParseError(prefix + err.message, err.position, err.text) from None
-    except ValueError as err:
-        raise ValueError(prefix + str(err)) from None
 
 
 def _check_coupling(coupling: dict[str, GenRel], avars: frozenset[str]) -> None:
@@ -487,18 +488,8 @@ def demo(name: str) -> DemoReport:
     ok = True
     for key, file, validity_label, good in cases:
         scenario = parse_scenario((scenario_dir / file).read_text(encoding="utf-8"))
-        proof = check_proof(scenario.gamma, scenario.derivation(), budget, scenario.eta)
-        validity = two_validity_test(
-            scenario.gamma,
-            scenario.modules(),
-            scenario.rho(),
-            scenario.eta,
-            scenario.pre,
-            scenario.client,
-            scenario.post,
-            budget,
-            dom,
-        )
+        proof = scenario.prove(budget)
+        validity = scenario.validity(budget)
         proofs[key] = proof
         validities[key] = validity
         lines.append(f"{key} proof: {proof.describe()}")

@@ -360,11 +360,22 @@ def candidate_relations(n: int, budget: SearchBudget) -> list[list[GenRel]]:
 
 
 def _size_vectors(num_vars: int, max_size: int) -> Iterable[tuple[int, ...]]:
-    """Size assignments ordered by total, then lexicographically."""
-    vectors = sorted(
-        product(range(max_size + 1), repeat=num_vars), key=lambda v: (sum(v), v)
-    )
-    return vectors
+    """The vectors of `num_vars` entries in 0..max_size, by total and then
+    lexicographically, generated one at a time: a search that stops early
+    pays only for the vectors it visits.  `find_counter_env` (generator
+    counts) and `lifting._template_instances` (template indices) use it."""
+
+    def with_sum(length: int, total: int) -> Iterable[tuple[int, ...]]:
+        if length == 0:
+            yield ()
+            return
+        low = max(0, total - max_size * (length - 1))
+        for first in range(low, min(max_size, total) + 1):
+            for rest in with_sum(length - 1, total - first):
+                yield (first, *rest)
+
+    for total in range(max_size * num_vars + 1):
+        yield from with_sum(num_vars, total)
 
 
 @dataclass(frozen=True)

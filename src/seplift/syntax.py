@@ -467,8 +467,6 @@ class _Parser:
             if follow == "|->" or follow in _CMP_OPS:
                 return self._after_expr(expr)
             if isinstance(expr, VarRef):
-                if expr.name in self.avars:
-                    return AVar(expr.name)
                 raise self.error(
                     f"bare identifier {expr.name!r} is not a declared assertion "
                     "variable (declare it with 'avars:') and no '|->' follows"
@@ -684,6 +682,18 @@ def parse_header(
     raise ValueError(f"unknown header {key!r}; expected one of {', '.join(_HEADER_KEYS)}")
 
 
+def _on_lines(entries: list[tuple[int, str]], parse_fn, *args, what: str = ""):
+    """``parse_fn`` on the entries' joined text; an error names the first line."""
+    text = " ".join(t for _, t in entries)
+    prefix = (f"line {entries[0][0]}: " if entries else "") + what
+    try:
+        return parse_fn(text, *args)
+    except ParseError as err:
+        raise ParseError(prefix + err.message, err.position, err.text) from None
+    except ValueError as err:
+        raise ValueError(prefix + str(err)) from None
+
+
 @dataclass(frozen=True)
 class AssertionFile:
     avars: frozenset[str]
@@ -709,21 +719,15 @@ def parse_assertion_file(text: str) -> AssertionFile:
             continue
         key, colon, body = line.partition(":")
         if colon and key in _HEADER_KEYS:
-            try:
-                avars, eta = parse_header(key, body, avars, eta)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            continue
-        try:
-            if "|=" in line:
-                lhs_text, _, rhs_text = line.partition("|=")
-                implications.append(
-                    (parse(lhs_text, avars), parse(rhs_text, avars))
-                )
-            else:
-                assertions.append(parse(line, avars))
-        except ParseError as exc:
-            raise ParseError(
-                f"line {lineno}: {exc.message}", exc.position, exc.text
-            ) from None
+            avars, eta = _on_lines(
+                [(lineno, body)], lambda text: parse_header(key, text, avars, eta)
+            )
+        elif "|=" in line:
+            lhs_text, _, rhs_text = line.partition("|=")
+            implications.append((
+                _on_lines([(lineno, lhs_text)], parse, avars),
+                _on_lines([(lineno, rhs_text)], parse, avars),
+            ))
+        else:
+            assertions.append(_on_lines([(lineno, line)], parse, avars))
     return AssertionFile(avars, eta, tuple(assertions), tuple(implications))

@@ -512,3 +512,12 @@ def test_proof_of_another_client_hid_a_violation(capsys, tmp_path):
     code = main(["--vals=-1,0,1", "validity", str(source)])
     assert code == 1
     assert capsys.readouterr().out.startswith("client violation: client: inputs")
+
+
+@pytest.mark.parametrize("command", ["reduce", "graph", "lift", "pc"])
+def test_family_commands_name_the_side_without_a_simple_form(capsys, tmp_path, command):
+    source = tmp_path / "nested.imp"
+    source.write_text("avars: a, b\n(b /\\ a) * 1|->_ |= a * 1|->_\n")
+    code = main([command, str(source)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {source}: left-hand side has no simple form\n"

@@ -228,3 +228,9 @@ def test_relation_literals():
         parse_relation("{ ([1],[]) , ([1]) }")
     with pytest.raises(ValueError):
         parse_relation("nonsense")
+
+
+def test_top_and_empty_are_shared_per_arity():
+    assert top(2) is top(2)
+    assert empty(3) is empty(3)
+    assert top(1) != top(2) and top(1) != empty(1)

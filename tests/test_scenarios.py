@@ -1,3 +1,5 @@
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from seplift.scenarios import (
     parse_proof_lines,
     parse_scenario,
 )
+from seplift.semantics import SearchBudget
 from seplift.syntax import ParseError, parse
 
 
@@ -303,3 +306,16 @@ proof:
     assert scenario.impl1 == {"post": Skip()}
     assert [kind for kind, _ in scenario.proof] == ["assert", "cmd", "assert"]
     assert check_proof(scenario.gamma, scenario.derivation()).accepted
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.name)
+def test_scenario_runs_match_the_direct_calls(path):
+    # at the values the file's header comment gives
+    text = path.read_text()
+    values = re.search(r"--vals[= ](\S+)", text)[1]
+    budget = SearchBudget(3, tuple(int(v) for v in values.split(",")))
+    s = parse_scenario(text)
+    assert s.prove(budget) == check_proof(s.gamma, s.derivation(), budget, s.eta)
+    assert s.validity(budget) == two_validity_test(
+        s.gamma, s.modules(), s.rho(), s.eta, s.pre, s.client, s.post, budget
+    )

@@ -13,13 +13,15 @@ filter over sorted generator tuples it replaced.
 """
 
 import random
-from itertools import combinations, product
+import time
+from itertools import combinations, islice, product
 from math import factorial
 
 import pytest
 
 from conftest import AVARS, SCENARIO_DIR, naive_interpret
 from seplift.catalog import CURATED_SUITE
+from seplift.heap import EMPTY_HEAP
 from seplift.normalize import implication_assertions
 from seplift.relations import GenRel, member, tuple_extends, tuple_sort_key
 from seplift.semantics import (
@@ -236,3 +238,43 @@ def test_tables_are_built_only_for_kept_location_permutations():
     find_counter_env(lhs, parse("a * true", AVARS), {}, 2, budget)
     assert list(space._tables) == [tuple(identity.items())]
     assert len(space.tables(identity)) == factorial(2) - 1
+
+
+@pytest.mark.parametrize("v, k", [(0, 2), (1, 2), (3, 2), (4, 4), (2, 0)])
+def test_size_vectors_by_total_then_lexicographically(v, k):
+    expected = sorted(product(range(k + 1), repeat=v), key=lambda x: (sum(x), x))
+    assert list(_size_vectors(v, k)) == expected
+
+
+def test_size_vectors_are_lazy():
+    # 3**40 vectors in all; the first three come without building the rest
+    start = time.perf_counter()
+    first = list(islice(_size_vectors(40, 2), 3))
+    assert time.perf_counter() - start < 1.0
+    assert first == [(0,) * 40, (0,) * 39 + (1,), (0,) * 38 + (1, 0)]
+
+
+def test_sixteen_variables_are_refuted_at_the_second_environment():
+    names = [f"v{k}" for k in range(16)]
+    lhs = parse(" \\/ ".join(names), names)
+    found = find_counter_env(lhs, parse("false"), {}, 1)
+    assert found.witness == (EMPTY_HEAP,)
+
+
+# A variable under a quantifier, and variables only on the right side.
+QUANTIFIED = [
+    "EX y. a * y|->_ |= a * -",
+    "a * (EX y. y|->_) |= EX y. a * (y|->0)",
+    "ALL y. (a \\/ y|->_) |= a \\/ 1|->_",
+    "(ALL y. a * (y = y)) /\\ - |= a * -",
+    "a |= a * b",
+    "1|->_ /\\ a |= b \\/ a * 1|->_",
+]
+
+
+@pytest.mark.parametrize("values", [(0,), (0, 1)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("text", QUANTIFIED)
+def test_quantified_and_right_only_variables_match_naive_search(text, n, values):
+    lhs, rhs = (parse(side, AVARS) for side in text.split("|="))
+    assert_same_search(lhs, rhs, {}, n, SearchBudget(values=values))
