@@ -26,7 +26,7 @@ from .lifting import (
 from .normalize import format_implication, simple_assertion, to_simple
 from .relations import format_relation
 from .scenarios import DEMO_NAMES, demo, parse_scenario
-from .semantics import SearchBudget, find_counter_env, pc_check
+from .semantics import DEFAULT_BUDGET, SearchBudget, find_counter_env, pc_check
 from .syntax import ParseError, UnboundVariable, parse_assertion_file, pretty
 
 _EXIT_OK = 0
@@ -301,15 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
             "client proofs for representation independence."
         ),
     )
-    parser.add_argument("--locs", type=int, default=3, help="location bound (1..N)")
+    parser.add_argument(
+        "--locs", type=int, default=DEFAULT_BUDGET.max_loc, help="location bound (1..N)"
+    )
     parser.add_argument(
         "--vals",
         type=_value_list,
-        default=[0],
+        default=list(DEFAULT_BUDGET.values),
         help="comma-separated cell/quantifier values, e.g. '0,1'",
     )
-    parser.add_argument("--gens", type=int, default=2, help="max generators per relation")
-    parser.add_argument("--heap-size", type=int, default=1, help="max cells per generator heap")
+    parser.add_argument(
+        "--gens", type=int, default=DEFAULT_BUDGET.max_generators,
+        help="max generators per relation",
+    )
+    parser.add_argument(
+        "--heap-size", type=int, default=DEFAULT_BUDGET.max_heap_size,
+        help="max cells per generator heap",
+    )
     parser.add_argument("--arity", type=int, default=2, help="relation arity for search")
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text",

@@ -37,7 +37,7 @@ from .normalize import (
     reduce_implication,
     to_simple,
 )
-from .relations import HeapTuple, member
+from .relations import HeapTuple, format_relation, member
 from .semantics import (
     DEFAULT_BUDGET,
     SearchBudget,
@@ -245,7 +245,9 @@ class CounterexamplePackage:
     unary_space: int  # environments exhausted by the unary search
 
     def describe(self) -> str:
-        rho_text = ", ".join(f"{name} -> {rel}" for name, rel in self.binary_rho.items())
+        rho_text = ", ".join(
+            f"{name} -> {format_relation(rel)}" for name, rel in self.binary_rho.items()
+        )
         witness_text = "(" + ", ".join(str(h) for h in self.witness) + ")"
         return (
             f"instance: {format_implication(self.form)}\n"

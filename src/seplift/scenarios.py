@@ -89,9 +89,8 @@ from .syntax import (
     AssertEnv,
     Assertion,
     BoolAtom,
-    PointsTo,
-    PointsToAny,
     UnboundVariable,
+    _CMP_OPS,
     _Parser,
     _is_ident,
     _on_lines,
@@ -156,7 +155,7 @@ class _CommandParser(_Parser):
             self.advance()
             left = self.expr()
             op = self.advance()
-            if op not in ("=", "!=", "<", "<=", ">", ">="):
+            if op not in _CMP_OPS:
                 raise self.error("expected a comparison in the guard")
             cond = BoolAtom(op, left, self.expr())
             self.expect("{")
@@ -247,19 +246,18 @@ def _axiom_step(gamma, pre, cmd, post) -> Derivation:
                 )
         raise ValueError(f"no context triple for operation {cmd.name!r}")
     if isinstance(cmd, Write):
-        if pre == PointsToAny(cmd.addr) and post == PointsTo(cmd.addr, cmd.value):
-            return WriteAxiom(cmd.addr, cmd.value)
+        step = WriteAxiom(cmd.addr, cmd.value)
+        mismatch = "a write step must be annotated with the heap-write axiom shape"
+    elif isinstance(cmd, Skip):
+        step, mismatch = SkipAxiom(pre), "skip cannot change the assertion"
+    else:
         raise ValueError(
-            "a write step must be annotated with the heap-write axiom shape"
+            f"only calls, writes and skip are allowed in annotated proofs, "
+            f"got {type(cmd).__name__}"
         )
-    if isinstance(cmd, Skip):
-        if pre == post:
-            return SkipAxiom(pre)
-        raise ValueError("skip cannot change the assertion")
-    raise ValueError(
-        f"only calls, writes and skip are allowed in annotated proofs, "
-        f"got {type(cmd).__name__}"
-    )
+    if conclusion(step) != (pre, cmd, post):
+        raise ValueError(mismatch)
+    return step
 
 
 # --- scenario files --------------------------------------------------------------
@@ -482,7 +480,7 @@ def demo(name: str) -> DemoReport:
         )
     budget = SearchBudget(3, values)
     dom = budget.domain()
-    lines = [title]
+    lines = [title, f"bound: {budget.describe()}"]
     proofs: dict[str, ProofVerdict] = {}
     validities: dict[str, ValidityVerdict] = {}
     ok = True

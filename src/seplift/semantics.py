@@ -356,26 +356,32 @@ def candidate_relations(n: int, budget: SearchBudget) -> list[list[GenRel]]:
     are listed: a generator set with a redundant tuple denotes the same
     relation as its minimization, so nothing is lost.
     """
-    return _CandidateSpace(n, budget).by_size
+    return [list(group) for group in _candidate_space(n, budget).by_size]
 
 
-def _size_vectors(num_vars: int, max_size: int) -> Iterable[tuple[int, ...]]:
-    """The vectors of `num_vars` entries in 0..max_size, by total and then
-    lexicographically, generated one at a time: a search that stops early
-    pays only for the vectors it visits.  `find_counter_env` (generator
-    counts) and `lifting._template_instances` (template indices) use it."""
+def _size_vectors(
+    num_vars: int, max_size: int, lows: Sequence[int] | None = None
+) -> Iterable[tuple[int, ...]]:
+    """The vectors of `num_vars` entries in 0..max_size, entry k at least
+    `lows[k]` (0 when `lows` is None), by total and then lexicographically,
+    generated one at a time: a search that stops early pays only for the
+    vectors it visits, and the vectors below `lows` are never built.
+    `find_counter_env` (generator counts) and `lifting._template_instances`
+    (template indices) use it."""
+    lows = tuple(lows or (0,) * num_vars)
+    floors = [sum(lows[k:]) for k in range(num_vars + 1)]
 
-    def with_sum(length: int, total: int) -> Iterable[tuple[int, ...]]:
-        if length == 0:
+    def with_sum(k: int, total: int) -> Iterable[tuple[int, ...]]:
+        if k == num_vars:
             yield ()
             return
-        low = max(0, total - max_size * (length - 1))
-        for first in range(low, min(max_size, total) + 1):
-            for rest in with_sum(length - 1, total - first):
+        low = max(lows[k], total - max_size * (num_vars - k - 1))
+        for first in range(low, min(max_size, total - floors[k + 1]) + 1):
+            for rest in with_sum(k + 1, total - first):
                 yield (first, *rest)
 
-    for total in range(max_size * num_vars + 1):
-        yield from with_sum(num_vars, total)
+    for total in range(floors[0], max_size * num_vars + 1):
+        yield from with_sum(0, total)
 
 
 @dataclass(frozen=True)
@@ -541,8 +547,11 @@ def find_counter_env(
     folded to relations, and applied to every environment visited.  The
     witness is a generator of the left relation outside the right one, so an
     environment whose left relation is empty cannot refute, and its right
-    side is not evaluated.  An `AssertEnv` is built only for the refutation
-    returned.
+    side is not evaluated.  For the same reason a variable gets at least one
+    generator when its empty relation, the other variables' relations being
+    full, empties the left side: the left side is monotone in every variable,
+    so each environment skipped that way has an empty left side too.  An
+    `AssertEnv` is built only for the refutation returned.
     """
     _require_positive_arity(n)
     variables = sorted(assertion_vars(lhs) | assertion_vars(rhs))
@@ -554,12 +563,14 @@ def find_counter_env(
     rhs_of = _as_function(_compile(rhs, eta, n, dom, index, prims))
     space = _candidate_space(n, budget)
     tables = _symmetry_tables(space, prims)
-    by_size = space.by_size
-    max_size = len(by_size) - 1
-    for sizes in _size_vectors(len(variables), max_size):
+    # Antichain sizes are downward closed, so the nonempty groups come first.
+    by_size = [group for group in space.by_size if group]
+    lows = [
+        int(lhs_of([empty(n) if j == k else top(n) for j in range(len(variables))]).is_empty())
+        for k in range(len(variables))
+    ]
+    for sizes in _size_vectors(len(variables), len(by_size) - 1, lows):
         pools = [by_size[s] for s in sizes]
-        if any(not pool for pool in pools):
-            continue
         for indices in _orbit_least(sizes, [len(p) for p in pools], tables):
             rels = [pool[i] for pool, i in zip(pools, indices)]
             lhs_rel = lhs_of(rels)

@@ -24,6 +24,7 @@ variables disjoint.
 
 from __future__ import annotations
 
+import operator
 import re
 import string
 from dataclasses import dataclass, field
@@ -158,11 +159,19 @@ class NonEmptyHeap(Assertion):
     """The ``-`` atom: heaps containing at least one cell."""
 
 
-_CMP_OPS = ("=", "!=", "<", "<=", ">", ">=")
+# Each comparison operator: its meaning and its negation.
+_COMPARISONS = {
+    "=": (operator.eq, "!="),
+    "!=": (operator.ne, "="),
+    "<": (operator.lt, ">="),
+    "<=": (operator.le, ">"),
+    ">": (operator.gt, "<="),
+    ">=": (operator.ge, "<"),
+}
+_CMP_OPS = tuple(_COMPARISONS)
 # Tokens after a term that keep it inside an expression or make it one side
 # of a points-to or comparison atom.
 _EXPR_FOLLOW = frozenset(("+", "-", "|->", *_CMP_OPS))
-_CMP_NEGATION = {"=": "!=", "!=": "=", "<": ">=", ">=": "<", "<=": ">", ">": "<="}
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +183,7 @@ class BoolAtom(Assertion):
     right: Expr
 
     def negated(self) -> "BoolAtom":
-        return BoolAtom(_CMP_NEGATION[self.op], self.left, self.right)
+        return BoolAtom(_COMPARISONS[self.op][1], self.left, self.right)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,19 +238,9 @@ class UnboundVariable(LookupError):
 def eval_bool(b: BoolAtom, eta: Mapping[str, int]) -> bool:
     lhs = eval_expr(b.left, eta)
     rhs = eval_expr(b.right, eta)
-    if b.op == "=":
-        return lhs == rhs
-    if b.op == "!=":
-        return lhs != rhs
-    if b.op == "<":
-        return lhs < rhs
-    if b.op == "<=":
-        return lhs <= rhs
-    if b.op == ">":
-        return lhs > rhs
-    if b.op == ">=":
-        return lhs >= rhs
-    raise ValueError(f"unknown comparison {b.op!r}")
+    if b.op not in _COMPARISONS:
+        raise ValueError(f"unknown comparison {b.op!r}")
+    return _COMPARISONS[b.op][0](lhs, rhs)
 
 
 def free_vars(a: Assertion) -> frozenset[str]:
@@ -551,6 +550,9 @@ def pretty_expr(e: Expr) -> str:
 
 
 def _expr_operand(e: Expr) -> str:
+    """`e` parenthesised unless it is a literal or a variable: the right
+    operand of `+`/`-`, the operand of unary minus, and a points-to address,
+    where a trailing unparenthesised `+`/`-` would absorb the `|->` operand."""
     text = pretty_expr(e)
     if isinstance(e, (Add, SubExpr, Neg)):
         return f"({text})"
@@ -572,9 +574,9 @@ def _pretty(a: Assertion, level: int, tail: bool) -> str:
     if isinstance(a, AVar):
         return a.name
     if isinstance(a, PointsTo):
-        return f"{_points_addr(a.addr)} |-> {pretty_expr(a.value)}"
+        return f"{_expr_operand(a.addr)} |-> {pretty_expr(a.value)}"
     if isinstance(a, PointsToAny):
-        return f"{_points_addr(a.addr)} |-> _"
+        return f"{_expr_operand(a.addr)} |-> _"
     if isinstance(a, BoolAtom):
         return f"{pretty_expr(a.left)} {a.op} {pretty_expr(a.right)}"
     if isinstance(a, Or):
@@ -602,14 +604,6 @@ def _pretty(a: Assertion, level: int, tail: bool) -> str:
         # only where nothing follows it.
         return text if tail else f"({text})"
     raise TypeError(f"not an assertion: {a!r}")
-
-
-def _points_addr(e: Expr) -> str:
-    # A trailing unparenthesised +/- would absorb the points-to arrow operand.
-    text = pretty_expr(e)
-    if isinstance(e, (Add, SubExpr, Neg)):
-        return f"({text})"
-    return text
 
 
 # --- environments ----------------------------------------------------------

@@ -9,7 +9,8 @@ import sys
 
 import pytest
 
-from seplift.cli import main
+from seplift.cli import _budget, build_parser, main
+from seplift.semantics import DEFAULT_BUDGET
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -226,6 +227,11 @@ def test_demo_subcommand(capsys):
     code, out = run(capsys, "demo", "goodbad")
     assert code == 0
     assert "[1|->1] vs [1|->2]" in out
+
+
+def test_budget_flags_default_to_the_default_budget():
+    args = build_parser().parse_args(["search", str(SCENARIOS / "fan.imp")])
+    assert _budget(args) == DEFAULT_BUDGET
 
 
 def test_demo_outside_a_checkout_names_the_missing_scenarios(tmp_path):

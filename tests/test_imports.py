@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used or re-exported."""
+"""Every module-level import in the package is used or exported, and every
+exported name is defined where it is exported."""
 
 import ast
 import pathlib
@@ -44,16 +45,18 @@ def test_no_unused_module_level_imports(path):
     assert not unused, f"{path.name}: unused imports {sorted(unused.items(), key=lambda kv: kv[1])}"
 
 
-def _defined_private_names(node: ast.stmt) -> list[str]:
+def _defined_names(node: ast.stmt) -> list[str]:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [node.name]
-    elif isinstance(node, ast.Assign):
-        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-        names = [node.target.id]
-    else:
-        names = []
-    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _defined_private_names(node: ast.stmt) -> list[str]:
+    return [n for n in _defined_names(node) if n.startswith("_") and not n.endswith("__")]
 
 
 def _referenced_names(node: ast.stmt) -> set[str]:
@@ -95,3 +98,16 @@ def test_imports_are_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
     ]
     assert not nested, f"{path.name}: imports inside functions at lines {nested}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_all_lists_only_names_the_module_defines(path):
+    # One import path per name: a module exports what it defines, and the
+    # package root exports its submodules, not their names.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name == "__init__.py":
+        allowed = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    else:
+        allowed = {name for node in tree.body for name in _defined_names(node)}
+    foreign = sorted(_exported_names(tree) - allowed)
+    assert not foreign, f"{path.name}: __all__ lists names defined elsewhere: {foreign}"

@@ -173,6 +173,11 @@ def test_package_text_names_the_whole_unary_bound():
     )
 
 
+def test_package_text_prints_relations_as_literals():
+    lines = witness_search(FAN, WB).describe().splitlines()
+    assert lines[1] == "binary environment: a -> { ([],[1|->0]) }, b -> { ([1|->0],[]) }"
+
+
 def test_witness_search_accepted_layouts_return_none():
     assert witness_search(SHADOW, WB) is None
     assert witness_search(BALLOON, WB) is None

@@ -78,6 +78,33 @@ def test_annotated_proof_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "proof, message",
+    [
+        (
+            "{1|->_}\n[1] := 0\n{1|->1}",
+            "a write step must be annotated with the heap-write axiom shape",
+        ),
+        ("{1|->0}\nskip\n{1|->1}", "skip cannot change the assertion"),
+        (
+            "{1|->0}\ninit\n{1|->0}",
+            "call init: annotations {1 |-> 0}..{1 |-> 0} do not match the context "
+            "triple {1 |-> _} init {1 |-> 0}; add a consequence assertion line",
+        ),
+        ("{1|->_}\nfin\n{1|->0}", "no context triple for operation 'fin'"),
+        (
+            "{1|->_}\nlet y=[1] in [1] := y\n{1|->_}",
+            "only calls, writes and skip are allowed in annotated proofs, got LetRead",
+        ),
+    ],
+)
+def test_annotated_proof_error_messages(proof, message):
+    gamma = make_context([Triple(parse("1|->_"), "init", parse("1|->0"))])
+    with pytest.raises(ValueError) as exc:
+        build_annotated_proof(gamma, parse_proof_lines(proof, frozenset()))
+    assert str(exc.value) == message
+
+
 @st.composite
 def _straight_line_proofs(draw):
     """A proof text of 1-4 calls with 0-2 extra assertion lines before each
@@ -173,6 +200,7 @@ def test_demo_counter_report():
     assert report.text() == """\
 demo counter: OK
   two-stage counter; couplings: equal values in stage one, negated values in stage two
+  bound: locs<=3, vals=[-1, 0, 1], gens<=2, heap size<=1
   client proof: Accepted (relative to the search bound)
   binary validity: NoViolation (bounded; 18 input pairs)
   client runs from [1|->-1]: final heaps [1|->0] vs [1|->0]
@@ -193,6 +221,7 @@ def test_demo_goodbad_report():
     assert report.text() == """\
 demo goodbad: OK
   good client uses fin; bad client uses badfin
+  bound: locs<=3, vals=[0, 1, 2], gens<=2, heap size<=1
   good proof: Accepted (relative to the search bound)
   good validity: NoViolation (bounded; 9 input pairs)
   good runs from [1|->0]: final heaps [1|->0] vs [1|->0]

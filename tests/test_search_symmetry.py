@@ -254,6 +254,25 @@ def test_size_vectors_are_lazy():
     assert first == [(0,) * 40, (0,) * 39 + (1,), (0,) * 38 + (1, 0)]
 
 
+@pytest.mark.parametrize("v, k, lows", [(3, 2, (1, 0, 1)), (2, 2, (2, 2)), (3, 1, (0, 0, 0))])
+def test_size_vectors_with_lows_keep_the_order(v, k, lows):
+    expected = sorted(
+        (x for x in product(range(k + 1), repeat=v) if all(s >= low for s, low in zip(x, lows))),
+        key=lambda x: (sum(x), x),
+    )
+    assert list(_size_vectors(v, k, lows)) == expected
+
+
+def test_star_chain_of_sixteen_variables_is_refuted_at_once():
+    # every variable of a star chain needs a generator: an empty one empties
+    # the left side, so the vectors that give one none are never visited
+    names = [f"v{k}" for k in range(16)]
+    start = time.perf_counter()
+    found = find_counter_env(parse(" * ".join(names), names), parse("false"), {}, 1)
+    assert time.perf_counter() - start < 1.0
+    assert found.witness == (EMPTY_HEAP,)
+
+
 def test_sixteen_variables_are_refuted_at_the_second_environment():
     names = [f"v{k}" for k in range(16)]
     lhs = parse(" \\/ ".join(names), names)

@@ -18,6 +18,7 @@ from seplift.syntax import (
     Star,
     SubExpr,
     TrueLit,
+    UnboundVariable,
     VarRef,
     eval_bool,
     eval_expr,
@@ -77,6 +78,36 @@ def test_boolatom_parsing():
     assert node == BoolAtom("=", VarRef("x"), IntLit(0))
     assert eval_bool(node, {"x": 0})
     assert not eval_bool(node, {"x": 2})
+
+
+_PYTHON_COMPARISONS = {
+    "=": lambda x, y: x == y,
+    "!=": lambda x, y: x != y,
+    "<": lambda x, y: x < y,
+    "<=": lambda x, y: x <= y,
+    ">": lambda x, y: x > y,
+    ">=": lambda x, y: x >= y,
+}
+_SMALL = range(-2, 3)
+
+
+@pytest.mark.parametrize("op", sorted(_PYTHON_COMPARISONS))
+def test_every_comparison_agrees_with_python_and_its_negation(op):
+    atom = parse(f"x {op} y")
+    assert atom == BoolAtom(op, VarRef("x"), VarRef("y"))
+    assert atom.negated().negated() == atom
+    for x in _SMALL:
+        for y in _SMALL:
+            eta = {"x": x, "y": y}
+            assert eval_bool(atom, eta) == _PYTHON_COMPARISONS[op](x, y)
+            assert eval_bool(atom.negated(), eta) != eval_bool(atom, eta)
+
+
+def test_unknown_comparison_is_an_error_after_both_sides():
+    with pytest.raises(UnboundVariable):
+        eval_bool(BoolAtom("<>", VarRef("x"), IntLit(0)), {})
+    with pytest.raises(ValueError, match="unknown comparison '<>'"):
+        eval_bool(BoolAtom("<>", VarRef("x"), IntLit(0)), {"x": 0})
 
 
 def test_expr_eval():
