@@ -30,6 +30,16 @@ applied to each environment visited; the right side is skipped when the left
 relation is empty, which is exact because a refutation needs a left generator
 outside the right relation.
 
+The search also gives each variable at most its left occurrence bound of
+generators: 1 per occurrence on the left, summed over `*` and `/\\`, the
+maximum over `\\/`, an `EX` body once and an `ALL` body once per value (the
+shrinking half of a small-model bound, after Calcagno, Yang and O'Hearn,
+FSTTCS 2001).  A refutation keeps refuting when each variable keeps only the
+generators its witness's left generator uses, which are at most that many; so
+a refutation over the bound shrinks to one with a smaller total.  The search
+visits by total, so its first refutation lies within the bound, and the capped
+visiting order is a subsequence of the full one that still holds it.
+
 ``pc_check`` decides the semantic condition that makes an implication valid
 for arity-independent reasons: every family of subheaps of a common heap that
 lands in the left conjunct bases must already be covered by a disjunct whose
@@ -125,6 +135,8 @@ class SearchBudget:
 
     max_loc: locations range over 1..max_loc; values: cell values; max
     generators per candidate relation; max cells per generator heap.
+    `max_generators` is the outer cap: `find_counter_env` also caps each
+    variable at its left occurrence bound, which loses no refutation.
     """
 
     max_loc: int = 3
@@ -360,28 +372,56 @@ def candidate_relations(n: int, budget: SearchBudget) -> list[list[GenRel]]:
 
 
 def _size_vectors(
-    num_vars: int, max_size: int, lows: Sequence[int] | None = None
+    num_vars: int,
+    max_size: int,
+    lows: Sequence[int] | None = None,
+    highs: Sequence[int] | None = None,
 ) -> Iterable[tuple[int, ...]]:
-    """The vectors of `num_vars` entries in 0..max_size, entry k at least
-    `lows[k]` (0 when `lows` is None), by total and then lexicographically,
-    generated one at a time: a search that stops early pays only for the
-    vectors it visits, and the vectors below `lows` are never built.
-    `find_counter_env` (generator counts) and `lifting._template_instances`
-    (template indices) use it."""
+    """The vectors of `num_vars` entries, entry k in `lows[k]`..`highs[k]`
+    (0 and max_size when None; max_size also caps every `highs[k]`), by total
+    and then lexicographically, generated one at a time: a search that stops
+    early pays only for the vectors it visits, and no vector outside the
+    bounds is ever built.  `find_counter_env` (generator counts) and
+    `lifting._template_instances` (template indices) use it."""
     lows = tuple(lows or (0,) * num_vars)
+    highs = tuple(min(high, max_size) for high in (highs or (max_size,) * num_vars))
+    if any(low > high for low, high in zip(lows, highs)):
+        return
     floors = [sum(lows[k:]) for k in range(num_vars + 1)]
+    ceilings = [sum(highs[k:]) for k in range(num_vars + 1)]
 
     def with_sum(k: int, total: int) -> Iterable[tuple[int, ...]]:
         if k == num_vars:
             yield ()
             return
-        low = max(lows[k], total - max_size * (num_vars - k - 1))
-        for first in range(low, min(max_size, total - floors[k + 1]) + 1):
+        low = max(lows[k], total - ceilings[k + 1])
+        for first in range(low, min(highs[k], total - floors[k + 1]) + 1):
             for rest in with_sum(k + 1, total - first):
                 yield (first, *rest)
 
-    for total in range(floors[0], max_size * num_vars + 1):
+    for total in range(floors[0], ceilings[0] + 1):
         yield from with_sum(0, total)
+
+
+def _left_bound(phi: Assertion, name: str, value_count: int) -> int:
+    """How many generators of `name` one generator of phi's meaning uses:
+    1 per occurrence, summed over * and /\\, the maximum over \\/, an EX body
+    once, and an ALL body once per quantifier value (`value_count` of them).
+
+    A generator of `star` or `meet` combines one generator of each operand,
+    one of `union` is a generator of one operand, and the quantifiers expand
+    to a `union` or a `meet` over the values.
+    """
+    if isinstance(phi, AVar):
+        return int(phi.name == name)
+    if isinstance(phi, (Star, And, Or)):
+        sides = [_left_bound(side, name, value_count) for side in (phi.left, phi.right)]
+        return max(sides) if isinstance(phi, Or) else sum(sides)
+    if isinstance(phi, Exists):
+        return _left_bound(phi.body, name, value_count)
+    if isinstance(phi, Forall):
+        return value_count * _left_bound(phi.body, name, value_count)
+    return 0
 
 
 @dataclass(frozen=True)
@@ -550,7 +590,20 @@ def find_counter_env(
     side is not evaluated.  For the same reason a variable gets at least one
     generator when its empty relation, the other variables' relations being
     full, empties the left side: the left side is monotone in every variable,
-    so each environment skipped that way has an empty left side too.  An
+    so each environment skipped that way has an empty left side too.  When
+    the left side is empty with every variable full, no environment refutes,
+    and None is returned before any is visited.
+
+    A variable also gets at most its left occurrence bound of generators
+    (`_left_bound`; 0 for a variable only on the right), within
+    `max_generators`.  A refutation (rho, h) shrinks: keeping only the
+    generators of rho(a) that h's left generator uses keeps h on the left
+    and, the right side being monotone, off the right.  If the first
+    refutation in the full visiting order gave a variable more generators
+    than its bound, its shrunk environment would refute with a smaller total,
+    and the least member of that environment's class would have been visited
+    first.  So the capped visiting order is a subsequence of the full one
+    that still holds its first refutation, and the answer is unchanged.  An
     `AssertEnv` is built only for the refutation returned.
     """
     _require_positive_arity(n)
@@ -561,6 +614,8 @@ def find_counter_env(
     prims: set[GenRel] = set()
     lhs_of = _as_function(_compile(lhs, eta, n, dom, index, prims))
     rhs_of = _as_function(_compile(rhs, eta, n, dom, index, prims))
+    if lhs_of([top(n)] * len(variables)).is_empty():
+        return None
     space = _candidate_space(n, budget)
     tables = _symmetry_tables(space, prims)
     # Antichain sizes are downward closed, so the nonempty groups come first.
@@ -569,7 +624,8 @@ def find_counter_env(
         int(lhs_of([empty(n) if j == k else top(n) for j in range(len(variables))]).is_empty())
         for k in range(len(variables))
     ]
-    for sizes in _size_vectors(len(variables), len(by_size) - 1, lows):
+    highs = [_left_bound(lhs, name, len(budget.values)) for name in variables]
+    for sizes in _size_vectors(len(variables), len(by_size) - 1, lows, highs):
         pools = [by_size[s] for s in sizes]
         for indices in _orbit_least(sizes, [len(p) for p in pools], tables):
             rels = [pool[i] for pool, i in zip(pools, indices)]
@@ -598,8 +654,10 @@ def _first_escapee(lhs_rel: GenRel, rhs_rel: GenRel) -> HeapTuple | None:
 def env_candidate_count(num_vars: int, n: int, budget: SearchBudget) -> int:
     """Size of the environment space find_counter_env covers.
 
-    This counts every environment, not one per symmetry class: the search
-    rules out a refutation in each environment it skips.
+    This counts the whole budget space, every environment with at most
+    `max_generators` generators per variable.  The search visits fewer: it
+    rules out a refutation in the environments it skips, through symmetry
+    and the left occurrence bound.
     """
     by_size = _candidate_space(n, budget).by_size
     per_var = sum(len(group) for group in by_size)

@@ -2,7 +2,7 @@ import random
 import time
 from itertools import islice, product
 
-from conftest import AVARS
+from conftest import AVARS, SCENARIO_DIR
 from seplift.catalog import CURATED_SUITE, make_form
 from seplift.heap import EMPTY_HEAP, cells
 from seplift.layout import compute_layout
@@ -27,7 +27,7 @@ from seplift.semantics import (
     find_counter_env,
     pc_check,
 )
-from seplift.syntax import AssertEnv, TrueLit, parse
+from seplift.syntax import AssertEnv, TrueLit, parse, parse_assertion_file
 
 FAN = make_form([("1|->_", ""), ("true", "a b")], [("1|->_", "a"), ("1|->_", "b")])
 BRIDGE = make_form([("-", "a b"), ("true", "a a")], [("-", "a a"), ("-*-", "b")])
@@ -198,6 +198,19 @@ def test_witness_search_template_family():
     )
     pkg = witness_search(scaled, WB)
     assert pkg is not None and verify_package(pkg)
+
+
+def test_three_variable_fan_gets_a_package_and_a_ternary_refutation():
+    doc = parse_assertion_file((SCENARIO_DIR / "fan3.imp").read_text(encoding="utf-8"))
+    lhs, rhs = doc.implications[0]
+    [(form, verdict)] = chk(lhs, rhs).members
+    assert verdict.result == "no_guarantee"
+    start = time.perf_counter()
+    pkg = witness_search(form)
+    assert time.perf_counter() - start < 1.0
+    assert pkg is not None and verify_package(pkg)
+    assert find_counter_env(lhs, rhs, doc.eta, 2) is None
+    assert find_counter_env(lhs, rhs, doc.eta, 3) is not None
 
 
 def test_witness_search_may_come_up_empty():

@@ -1,10 +1,12 @@
 """find_counter_env against the plain enumeration it replaced.
 
 The search skips environments that a location or coordinate permutation maps
-to an earlier one, compiles each side once and skips the right side when the
-left relation is empty.  `naive_find_counter_env` is the loop without any of
-that: it tries every environment of every size group in order, as an
-`AssertEnv`, through `naive_interpret` and a sorted scan for the escapee.
+to an earlier one, compiles each side once, skips the right side when the
+left relation is empty, gives each variable at most its left occurrence bound
+of generators and returns at once when the left side is always empty.
+`naive_find_counter_env` is the loop without any of that: it tries every
+environment of every size group in order, as an `AssertEnv`, through
+`naive_interpret` and a sorted scan for the escapee.
 Both must return the same environment and witness, or both None.
 
 The naive loop takes its candidates from `candidate_relations`, so that list
@@ -17,7 +19,9 @@ import time
 from itertools import combinations, islice, product
 from math import factorial
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from conftest import AVARS, SCENARIO_DIR, naive_interpret
 from seplift.catalog import CURATED_SUITE
@@ -29,6 +33,7 @@ from seplift.semantics import (
     SearchBudget,
     _candidate_space,
     _compile,
+    _left_bound,
     _size_vectors,
     _symmetry_tables,
     bounded_heaps,
@@ -261,6 +266,120 @@ def test_size_vectors_with_lows_keep_the_order(v, k, lows):
         key=lambda x: (sum(x), x),
     )
     assert list(_size_vectors(v, k, lows)) == expected
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda v: st.tuples(
+            st.just(v),
+            st.integers(0, 3),
+            st.lists(st.integers(0, 4), min_size=v, max_size=v),
+            st.lists(st.integers(0, 4), min_size=v, max_size=v),
+        )
+    )
+)
+@example((3, 2, [1, 0, 0], [0, 2, 2]))  # lows[0] > highs[0]: no vectors
+@example((2, 2, [0, 0], [5, 1]))  # max_size caps a high entry
+@example((2, 3, [3, 3], [3, 3]))
+def test_size_vectors_within_lows_and_highs_keep_the_order(case):
+    v, k, lows, highs = case
+    expected = sorted(
+        (
+            x
+            for x in product(range(k + 1), repeat=v)
+            if all(low <= s <= high for s, low, high in zip(x, lows, highs))
+        ),
+        key=lambda x: (sum(x), x),
+    )
+    assert list(_size_vectors(v, k, lows, highs)) == expected
+
+
+# (assertion, bound of `a` with one quantifier value, bound with two)
+LEFT_BOUNDS = [
+    ("a", 1, 1),
+    ("b", 0, 0),
+    ("true * 1|->_", 0, 0),
+    ("a * a /\\ a", 3, 3),
+    ("a \\/ a * a", 2, 2),
+    ("(a * b) \\/ (b * b)", 1, 1),
+    ("EX y. a * a", 2, 2),
+    ("ALL y. a * y|->_", 1, 2),
+    ("ALL y. (a \\/ a * a) /\\ a", 3, 6),  # the body runs to the end
+    ("EX y. ALL z. a * b", 1, 2),
+]
+
+
+@pytest.mark.parametrize("text, one, two", LEFT_BOUNDS, ids=[b[0] for b in LEFT_BOUNDS])
+def test_left_bound_sums_conjuncts_and_takes_the_maximum_over_disjuncts(text, one, two):
+    phi = parse(text, AVARS)
+    assert (_left_bound(phi, "a", 1), _left_bound(phi, "a", 2)) == (one, two)
+
+
+# Implications whose first refutation needs as many generators of `a` as its
+# left occurrence bound: two, from one occurrence under ALL over two values.
+AT_THE_BOUND = [
+    ("ALL y. (y+1|->_ * a) |= a * a * -", n, SearchBudget(2, (0, 1), gens))
+    for n in (1, 2)
+    for gens in (2, 3)
+]
+
+
+@pytest.mark.parametrize("text, n, budget", AT_THE_BOUND)
+def test_first_refutation_may_need_the_whole_occurrence_bound(text, n, budget):
+    lhs, rhs = (parse(side, AVARS) for side in text.split("|="))
+    found = assert_same_search(lhs, rhs, {}, n, budget)
+    assert len(found.rho["a"].generators) == _left_bound(lhs, "a", 2) == 2
+
+
+_LEFT_ATOMS = ["b", "true", "-", "1|->_", "2|->0", "y+1|->_", "y = 0"]
+_RIGHT_ATOMS = ["a", "b", "c", "a * a", "true", "-", "1|->_", "2|->_", "y+1|->_", "false"]
+
+
+def _combine_leaves(rng: random.Random, leaves: list) -> str:
+    """The leaves joined by random connectives, some under a quantifier over y."""
+    if len(leaves) == 1:
+        text = leaves[0]
+    else:
+        cut = rng.randint(1, len(leaves) - 1)
+        op = rng.choice(["*", "/\\", "\\/"])
+        text = f"({_combine_leaves(rng, leaves[:cut])} {op} {_combine_leaves(rng, leaves[cut:])})"
+    quantifier = rng.choice(["", "", "", "EX y. ", "ALL y. "])
+    return f"({quantifier}{text})" if quantifier else text
+
+
+def test_seeded_capped_search_matches_naive_search():
+    # `a` occurs 0-3 times on the left; `c`, and `b` when the left side has
+    # none, occur only on the right
+    rng = random.Random(20261019)
+    names = frozenset({"a", "b", "c"})
+    for _ in range(60):
+        leaves = ["a"] * rng.randint(0, 3) + rng.sample(_LEFT_ATOMS, rng.randint(1, 2))
+        rng.shuffle(leaves)
+        lhs = parse(_combine_leaves(rng, leaves), names)
+        rhs = parse(_combine_leaves(rng, rng.sample(_RIGHT_ATOMS, rng.randint(1, 3))), names)
+        n = rng.choice([1, 2])
+        values = rng.choice([(0,), (0, 1)])
+        budget = SearchBudget(rng.randint(1, 3) if n == 1 else 1, values)
+        assert_same_search(lhs, rhs, {"y": 1}, n, budget)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+@pytest.mark.parametrize("rhs", ["false", "v0 * 1|->_"])
+def test_always_empty_left_side_matches_naive_search(count, rhs):
+    names = [f"v{k}" for k in range(count)]
+    lhs = parse("1|->0 * 1|->0 * " + " * ".join(names), names)
+    assert assert_same_search(lhs, parse(rhs, names), {}, 1) is None
+
+
+def test_always_empty_left_side_of_twelve_variables_returns_at_once():
+    # the left side is empty with every variable full, so no environment can
+    # make it nonempty: None comes before any environment is visited
+    names = [f"v{k}" for k in range(12)]
+    lhs = parse("1|->0 * 1|->0 * " + " * ".join(names), names)
+    start = time.perf_counter()
+    assert find_counter_env(lhs, parse("false"), {}, 1) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_star_chain_of_sixteen_variables_is_refuted_at_once():

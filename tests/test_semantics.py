@@ -13,6 +13,7 @@ from seplift.semantics import (
     DEFAULT_BUDGET,
     SearchBudget,
     ValueDomain,
+    _left_bound,
     bounded_heaps,
     env_candidate_count,
     env_valid,
@@ -23,7 +24,6 @@ from seplift.semantics import (
 from seplift.syntax import (
     And,
     AssertEnv,
-    AVar,
     BoolAtom,
     Exists,
     Forall,
@@ -291,22 +291,6 @@ def test_bounded_heaps_sorted_and_complete():
     assert len(bounded_heaps(2, (0, 1), max_cells=1)) == 5
 
 
-def _left_bound(phi, name: str, value_count: int) -> int:
-    """How many generators of `name` one generator of phi's meaning uses:
-    1 per occurrence, summed over * and /\\, the maximum over \\/, an EX body
-    once, and an ALL body once per quantifier value."""
-    if isinstance(phi, AVar):
-        return int(phi.name == name)
-    if isinstance(phi, (Star, And, Or)):
-        sides = [_left_bound(side, name, value_count) for side in (phi.left, phi.right)]
-        return max(sides) if isinstance(phi, Or) else sum(sides)
-    if isinstance(phi, Exists):
-        return _left_bound(phi.body, name, value_count)
-    if isinstance(phi, Forall):
-        return value_count * _left_bound(phi.body, name, value_count)
-    return 0
-
-
 # The .imp files at the arities their header comments name: fan and bridge
 # are binary invalid, scaled is binary valid and ternary invalid.
 IMP_ARITIES = {"bridge": (1, 2), "fan": (1, 2), "good": (1, 2), "scaled": (1, 2, 3)}
@@ -316,7 +300,9 @@ def test_first_refutation_keeps_each_variable_within_its_left_occurrence_bound()
     # A refutation (rho, h) shrinks: keeping only the generators of rho(a)
     # that h's left generator uses keeps h on the left and off the right,
     # with fewer generators in all.  The search visits environments by total
-    # generator count, so the first refutation it returns is already shrunk.
+    # generator count, so the first refutation it returns is already shrunk:
+    # the search caps each variable at `_left_bound`, and no generator of
+    # the returned environment can be dropped.
     cases = [
         (*implication_assertions(entry.form), {}, n)
         for entry in CURATED_SUITE
