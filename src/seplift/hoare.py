@@ -12,7 +12,10 @@ one checked semantically: each implication must pass ``chk`` (so it lifts to
 the relational reading) and a bounded environment search must find no unary
 counterexample.  A side that is the same assertion on both ends, φ ⊨ φ, holds
 at every arity and is not gated.  So ``check_proof`` answers Accepted
-relative to the search bound, never unconditionally.
+relative to the search bound, never unconditionally.  A sequence is one node
+holding a tuple, of commands (``SeqCmd``, built by ``seq``) or of steps
+(``SeqRule``), and the checker visits each node of a derivation once, so a
+straight-line proof is checked in time linear in its length.
 
 ``two_validity_test`` checks the binary reading of triples: one client, two
 module implementations built by ``build_modules``, assertion variables
@@ -35,7 +38,7 @@ either side is a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .heap import Heap
 from .lifting import chk
@@ -72,6 +75,7 @@ __all__ = [
     "Write",
     "LetRead",
     "SeqCmd",
+    "seq",
     "IfCmd",
     "ERR",
     "exec_command",
@@ -129,8 +133,20 @@ class LetRead(Command):
 
 @dataclass(frozen=True, slots=True)
 class SeqCmd(Command):
-    first: Command
-    second: Command
+    """Two or more commands run in order; build it with ``seq``."""
+
+    parts: tuple[Command, ...]
+
+
+def seq(commands: Iterable[Command]) -> Command:
+    """The sequence of ``commands``, nested sequences spliced in, so that ``;``
+    is associative; a single command stands for itself."""
+    parts: list[Command] = []
+    for c in commands:
+        parts.extend(c.parts if isinstance(c, SeqCmd) else (c,))
+    if not parts:
+        raise ValueError("a sequence needs at least one command")
+    return parts[0] if len(parts) == 1 else SeqCmd(tuple(parts))
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,10 +200,11 @@ def _exec(c, eta, modules, h):
             return ERR
         return _exec(c.body, {**eta, c.var: val}, modules, h)
     if isinstance(c, SeqCmd):
-        mid = _exec(c.first, eta, modules, h)
-        if mid is ERR:
-            return ERR
-        return _exec(c.second, eta, modules, mid)
+        for part in c.parts:
+            h = _exec(part, eta, modules, h)
+            if h is ERR:
+                return ERR
+        return h
     if isinstance(c, IfCmd):
         branch = c.then_branch if eval_bool(c.cond, eta) else c.else_branch
         return _exec(branch, eta, modules, h)
@@ -227,7 +244,7 @@ def command_vars(c: Command) -> frozenset[str]:
     if isinstance(c, LetRead):
         return free_expr_vars(c.addr) | (command_vars(c.body) - {c.var})
     if isinstance(c, SeqCmd):
-        return command_vars(c.first) | command_vars(c.second)
+        return frozenset().union(*map(command_vars, c.parts))
     if isinstance(c, IfCmd):
         return (
             free_expr_vars(c.cond.left)
@@ -294,8 +311,9 @@ class ExistsRule(Derivation):
 
 @dataclass(frozen=True)
 class SeqRule(Derivation):
-    first: Derivation
-    second: Derivation
+    """Each step's postcondition is the next step's precondition."""
+
+    steps: tuple[Derivation, ...]
 
 
 @dataclass(frozen=True)
@@ -316,6 +334,29 @@ class Consequence(Derivation):
 
 def conclusion(d: Derivation) -> tuple[Assertion, Command, Assertion]:
     """The (pre, command, post) a derivation claims, ignoring side conditions."""
+    below = []  # a comprehension would cost a second frame per nesting level
+    for _, premise in _premises(d):
+        below.append(conclusion(premise))
+    return _conclude(d, below)
+
+
+def _premises(d: Derivation) -> list[tuple[str, Derivation]]:
+    """Node ``d``'s premises in order, each with the suffix of its path."""
+    if isinstance(d, SeqRule):
+        return [(f".seq{k}", step) for k, step in enumerate(d.steps, 1)]
+    if isinstance(d, IfRule):
+        return [(".then", d.then_branch), (".else", d.else_branch)]
+    if isinstance(d, FrameRule):
+        return [(".frame", d.body)]
+    if isinstance(d, ExistsRule):
+        return [(".exists", d.body)]
+    if isinstance(d, Consequence):
+        return [(".body", d.body)]
+    return []
+
+
+def _conclude(d: Derivation, below) -> tuple[Assertion, Command, Assertion]:
+    """The conclusion of node ``d``, given the conclusions of its premises."""
     if isinstance(d, CallAxiom):
         return d.pre, Call(d.name), d.post
     if isinstance(d, WriteAxiom):
@@ -323,22 +364,20 @@ def conclusion(d: Derivation) -> tuple[Assertion, Command, Assertion]:
     if isinstance(d, SkipAxiom):
         return d.assertion, Skip(), d.assertion
     if isinstance(d, FrameRule):
-        pre, cmd, post = conclusion(d.body)
+        ((pre, cmd, post),) = below
         return Star(pre, d.frame), cmd, Star(post, d.frame)
     if isinstance(d, ExistsRule):
-        pre, cmd, post = conclusion(d.body)
+        ((pre, cmd, post),) = below
         return Exists(d.var, pre), cmd, Exists(d.var, post)
     if isinstance(d, SeqRule):
-        pre1, cmd1, _ = conclusion(d.first)
-        _, cmd2, post2 = conclusion(d.second)
-        return pre1, SeqCmd(cmd1, cmd2), post2
+        cmd = seq(c for _, c, _ in below)  # raises ValueError on no steps
+        return below[0][0], cmd, below[-1][2]
     if isinstance(d, IfRule):
-        pre_then, cmd_then, post = conclusion(d.then_branch)
-        _, cmd_else, _ = conclusion(d.else_branch)
+        (pre_then, cmd_then, post), (_, cmd_else, _) = below
         base_pre = pre_then.left if isinstance(pre_then, And) else pre_then
         return base_pre, IfCmd(d.cond, cmd_then, cmd_else), post
     if isinstance(d, Consequence):
-        _, cmd, _ = conclusion(d.body)
+        ((_, cmd, _),) = below
         return d.pre, cmd, d.post
     raise TypeError(f"not a derivation: {d!r}")
 
@@ -376,7 +415,8 @@ def check_proof(
     Structural rules are checked syntactically.  Consequence premises other
     than a reflexive φ |= φ are checked by chk plus a bounded unary
     environment search, so acceptance is always relative to that bound.
-    Rejection pinpoints the first failing node in depth-first order.
+    Rejection pinpoints the first failing node in depth-first order, each
+    node's premises before its own side conditions.
     """
     try:
         _check(gamma, d, budget, eta, "root")
@@ -386,34 +426,27 @@ def check_proof(
 
 
 def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
+    """Check ``d`` and every node under it, each once; ``d``'s conclusion."""
+    below = []  # a comprehension would cost a second frame per nesting level
+    for label, premise in _premises(d):
+        below.append(_check(gamma, premise, budget, eta, path + label))
     if isinstance(d, CallAxiom):
         if not any(
             t.name == d.name and t.pre == d.pre and t.post == d.post for t in gamma
         ):
             raise _Reject(path, f"no context triple matches {d.name}")
-        return conclusion(d)
-    if isinstance(d, (WriteAxiom, SkipAxiom)):
-        return conclusion(d)
-    if isinstance(d, FrameRule):
-        _check(gamma, d.body, budget, eta, path + ".frame")
-        return conclusion(d)
-    if isinstance(d, ExistsRule):
-        _, cmd, _ = _check(gamma, d.body, budget, eta, path + ".exists")
-        if d.var in command_vars(cmd):
+    elif isinstance(d, ExistsRule):
+        if d.var in command_vars(below[0][1]):
             raise _Reject(path, f"{d.var} occurs free in the command")
-        return conclusion(d)
-    if isinstance(d, SeqRule):
-        _, _, post1 = _check(gamma, d.first, budget, eta, path + ".seq1")
-        pre2, _, _ = _check(gamma, d.second, budget, eta, path + ".seq2")
-        if post1 != pre2:
-            raise _Reject(
-                path,
-                f"sequencing mismatch: {pretty(post1)} vs {pretty(pre2)}",
-            )
-        return conclusion(d)
-    if isinstance(d, IfRule):
-        pre_t, cmd_t, post_t = _check(gamma, d.then_branch, budget, eta, path + ".then")
-        pre_e, cmd_e, post_e = _check(gamma, d.else_branch, budget, eta, path + ".else")
+    elif isinstance(d, SeqRule):
+        for (_, _, post1), (pre2, _, _) in zip(below, below[1:]):
+            if post1 != pre2:
+                raise _Reject(
+                    path,
+                    f"sequencing mismatch: {pretty(post1)} vs {pretty(pre2)}",
+                )
+    elif isinstance(d, IfRule):
+        (pre_t, _, post_t), (pre_e, _, post_e) = below
         if post_t != post_e:
             raise _Reject(path, "branch postconditions differ")
         if not (
@@ -424,13 +457,13 @@ def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
             and pre_e.right == d.cond.negated()
         ):
             raise _Reject(path, "branch preconditions do not split on the guard")
-        return conclusion(d)
-    if isinstance(d, Consequence):
-        pre_in, _, post_in = _check(gamma, d.body, budget, eta, path + ".body")
+    elif isinstance(d, Consequence):
+        ((pre_in, _, post_in),) = below
         _check_implication(d.pre, pre_in, budget, eta, path + ".pre")
         _check_implication(post_in, d.post, budget, eta, path + ".post")
-        return conclusion(d)
-    raise _Reject(path, f"unknown derivation node {type(d).__name__}")
+    elif not isinstance(d, (WriteAxiom, SkipAxiom, FrameRule)):
+        raise _Reject(path, f"unknown derivation node {type(d).__name__}")
+    return _conclude(d, below)
 
 
 def _check_implication(lhs, rhs, budget, eta, path):

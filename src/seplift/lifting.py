@@ -25,7 +25,7 @@ evidence of unary validity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping
 
 from .layout import LayoutGraph, compute_layout
@@ -273,11 +273,8 @@ def _unary_evidence_budget(budget: SearchBudget) -> SearchBudget:
     # The unary no-refutation evidence is only bounded, so search it over a
     # strictly larger space than the binary refutation needs; this rejects
     # instances whose unary validity is an artifact of the small bound.
-    return SearchBudget(
-        max_loc=budget.max_loc + 1,
-        values=budget.values,
-        max_generators=budget.max_generators + 1,
-        max_heap_size=budget.max_heap_size,
+    return replace(
+        budget, max_loc=budget.max_loc + 1, max_generators=budget.max_generators + 1
     )
 
 
@@ -286,14 +283,13 @@ _BASE_TEMPLATES: tuple[Assertion, ...] = (
     NonEmptyHeap(),
     PointsToAny(IntLit(1)),
     Star(NonEmptyHeap(), NonEmptyHeap()),
-    Star(PointsToAny(IntLit(1)), PointsToAny(IntLit(2))),
 )
 
 
 def _template_instances(g: LayoutGraph) -> Iterator[ImplicationForm]:
     """Each template choice of bases, one index per clause, in `_size_vectors` order.
 
-    The 5**slots choices are generated one at a time, never all held at once.
+    The 4**slots choices are generated one at a time, never all held at once.
     """
     avars = [
         tuple(var for var, count in zip(g.variables, row) for _ in range(count))

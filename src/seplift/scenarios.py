@@ -33,6 +33,10 @@ under ``coupling:``, may be given only once.  A parse error below the
 written across lines), and for an operation or a coupling also its section and
 name.  ``env:`` must bind every free normal variable of the scenario.
 
+In commands, ``;`` is associative: braces group the body of a ``let`` or an
+``if``, and a braced block inside a sequence is spliced into it, so
+``a; {b; c}`` and ``{a; b}; c`` are the same client.
+
 Proofs are straight lines of commands with an assertion between every two
 statements.  Two consecutive assertion lines mark a consequence step, the only
 rule the lifting gate guards, so a command with no extra assertion line before
@@ -66,7 +70,6 @@ from .hoare import (
     ERR,
     IfCmd,
     LetRead,
-    SeqCmd,
     SeqRule,
     Skip,
     SkipAxiom,
@@ -81,6 +84,7 @@ from .hoare import (
     conclusion,
     exec_command,
     make_context,
+    seq,
     two_validity_test,
 )
 from .relations import GenRel, parse_relation
@@ -116,13 +120,13 @@ __all__ = [
 
 class _CommandParser(_Parser):
     def command(self) -> Command:
-        node = self.statement()
+        parts = [self.statement()]
         while self.peek() == ";":
             self.advance()
             if not self.peek():
                 break  # tolerate a trailing semicolon
-            node = SeqCmd(node, self.statement())
-        return node
+            parts.append(self.statement())
+        return seq(parts)
 
     def statement(self) -> Command:
         tok = self.peek()
@@ -212,7 +216,7 @@ def build_annotated_proof(
     if not lines or lines[0][0] != "assert":
         raise ValueError("a proof starts with an assertion line")
     chain: list[Assertion] = []  # the assertion lines since the last command
-    derivation: Derivation | None = None
+    steps: list[Derivation] = []
     for k, (kind, item) in enumerate(lines):
         if kind == "assert":
             chain.append(item)
@@ -223,11 +227,12 @@ def build_annotated_proof(
         step = _axiom_step(gamma, chain[-1], item, post)
         for source in reversed(chain[:-1]):
             step = Consequence(source, step, post)
-        derivation = step if derivation is None else SeqRule(derivation, step)
+        steps.append(step)
         chain = []
-    if derivation is None:
+    if not steps:
         raise ValueError("a proof needs at least one command")
-    pre, _, _ = conclusion(derivation)
+    derivation = steps[0] if len(steps) == 1 else SeqRule(tuple(steps))
+    pre, _, _ = conclusion(steps[0])
     for target in chain[1:]:
         derivation = Consequence(pre, derivation, target)
     return derivation

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from seplift.heap import Heap
-from seplift.hoare import IfCmd, LetRead, SeqCmd, Skip, Write
+from seplift.hoare import IfCmd, LetRead, Skip, Write, seq
 from seplift.relations import GenRel, delta, empty, meet, star, top, union
 from seplift.scenarios import Scenario, parse_scenario
 from seplift.syntax import (
@@ -83,7 +83,7 @@ commands = st.recursive(
         st.tuples(_cmd_addrs, _cmd_values).map(lambda t: Write(*t)),
     ),
     lambda child: st.one_of(
-        st.tuples(child, child).map(lambda t: SeqCmd(*t)),
+        st.tuples(child, child).map(seq),
         st.tuples(_cmd_addrs, child).map(lambda t: LetRead("y", *t)),
         st.tuples(
             st.sampled_from(["=", "<"]),

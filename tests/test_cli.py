@@ -395,6 +395,32 @@ def test_prove_on_a_file_without_scenario_sections_exits_two(capsys):
     assert "line 3: expected a section header (avars, env, " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["prove", "validity"])
+def test_long_client_runs_at_the_default_recursion_limit(capsys, tmp_path, command):
+    # counter.scn's five calls 410 times over, 2,050 calls, with the proof to
+    # match: a sequence is one node, so no walker recurses once per call
+    rounds = 410
+    head, body = (SCENARIOS / "counter.scn").read_text().split("proof:\n  {1|->_}\n")
+    client = "; ".join(["init; inc; nxt; dec; fin"] * rounds)
+    head = head.replace("client: init; inc; nxt; dec; fin", f"client: {client}")
+    source = tmp_path / "long.scn"
+    source.write_text(head + "proof:\n  {1|->_}\n" + body * rounds)
+    code, out = run(capsys, "--vals=-1,0,1", command, str(source))
+    assert code == 0, capsys.readouterr().err
+    assert out.startswith(("Accepted", "NoViolation"))
+
+
+@pytest.mark.parametrize("client", ["init; {inc; nxt; dec; fin}", "{init; inc}; nxt; dec; fin"])
+def test_braced_client_proves_like_the_flat_one(capsys, tmp_path, client):
+    # ; is associative, so the braces do not change the program
+    flat = run(capsys, "--vals=-1,0,1", "prove", str(SCENARIOS / "counter.scn"))
+    source, _ = _edited_counter(
+        tmp_path, ("client: init; inc; nxt; dec; fin", f"client: {client}")
+    )
+    assert run(capsys, "--vals=-1,0,1", "prove", str(source)) == flat
+    assert flat[0] == 0
+
+
 def _edited_counter(tmp_path, *edits):
     """counter.scn with each (old, new) replaced once, and the line number of
     the first edit."""

@@ -241,13 +241,15 @@ class NaiveParser:
 
 class NaiveCommandParser(NaiveParser):
     def command(self):
-        node = self.statement()
+        parts = [self.statement()]
         while self.peek().text == ";":
             self.advance()
             if self.peek().kind == "eof":
                 break
-            node = SeqCmd(node, self.statement())
-        return node
+            parts.append(self.statement())
+        # a braced block inside a sequence is spliced into it
+        flat = [p for c in parts for p in (c.parts if isinstance(c, SeqCmd) else (c,))]
+        return flat[0] if len(flat) == 1 else SeqCmd(tuple(flat))
 
     def statement(self):
         tok = self.peek()

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
@@ -28,10 +30,11 @@ from seplift.hoare import (
     conclusion,
     exec_command,
     make_context,
+    seq,
     two_validity_test,
 )
 from seplift.relations import GenRel, top
-from seplift.scenarios import parse_command
+from seplift.scenarios import build_annotated_proof, parse_command, parse_proof_lines
 from seplift.semantics import SearchBudget, ValueDomain
 from seplift.syntax import (
     And,
@@ -129,6 +132,27 @@ def test_commands_are_local_actions(cmd, cells, frame_locs):
     assert exec_command(cmd, COMMAND_ETA, {}, compose(g, f)) == framed
 
 
+@given(commands, commands, small_heaps)
+def test_sequence_runs_its_parts_in_order(c1, c2, h):
+    mid = exec_command(c1, COMMAND_ETA, {}, h)
+    expected = ERR if mid is ERR else exec_command(c2, COMMAND_ETA, {}, mid)
+    assert exec_command(seq((c1, c2)), COMMAND_ETA, {}, h) == expected
+
+
+def test_check_proof_is_linear_in_the_hops():
+    # each hop is a write step and a consequence 1|->0 |= 1|->_; a checker
+    # that re-walks the chain at every step is quadratic, and one that
+    # recurses once per step runs out of stack
+    text = "{1|->_}\n" + "[1] := 0\n{1|->0}\n{1|->_}\n" * 1600
+    derivation = build_annotated_proof((), parse_proof_lines(text, frozenset()))
+    start = time.perf_counter()
+    verdict = check_proof((), derivation)
+    elapsed = time.perf_counter() - start
+    assert verdict.accepted
+    assert len(conclusion(derivation)[1].parts) == 1600
+    assert elapsed < 1.0  # about 0.2 s on a 2-vCPU host
+
+
 def test_check_proof_counter_client_accepted():
     scenario = load_scenario("counter.scn")
     verdict = check_proof(scenario.gamma, scenario.derivation(), COUNTER_BUDGET)
@@ -152,10 +176,10 @@ def test_check_proof_rejects_sequence_mismatch():
             Triple(parse("3|->_"), "g", parse("1|->_")),
         ]
     )
-    d = SeqRule(
+    d = SeqRule((
         CallAxiom(parse("1|->_"), "f", parse("2|->_")),
         CallAxiom(parse("3|->_"), "g", parse("1|->_")),
-    )
+    ))
     verdict = check_proof(gamma, d)
     assert not verdict.accepted and "mismatch" in verdict.reason
 
@@ -279,7 +303,7 @@ def _implications(d):
         sides = [(d.pre, pre_in), (post_in, d.post)]
         return [*_implications(d.body), *((l, r) for l, r in sides if l != r)]
     if isinstance(d, SeqRule):
-        return _implications(d.first) + _implications(d.second)
+        return [pair for step in d.steps for pair in _implications(step)]
     return []
 
 

@@ -358,7 +358,9 @@ def test_template_instances_order():
     for form in (LONELY, make_form([("true", "a")], []), FAN, BRIDGE):
         g = compute_layout(form)
         slots = g.conjunct_count + g.disjunct_count
-        expected = sorted(product(range(5), repeat=slots), key=lambda a: (sum(a), a))
+        expected = sorted(
+            product(range(len(_BASE_TEMPLATES)), repeat=slots), key=lambda a: (sum(a), a)
+        )
         assert [
             (*(c.base for c in f.conjuncts), *(d.base for d in f.disjuncts))
             for f in _template_instances(g)
@@ -366,7 +368,7 @@ def test_template_instances_order():
 
 
 def test_template_instances_are_lazy():
-    # one slot per clause: 18 conjuncts and 17 disjuncts, 5**35 choices
+    # one slot per clause: 18 conjuncts and 17 disjuncts, 4**35 choices
     wide = make_form(
         [("true", f"v{k:02d}") for k in range(18)],
         [("true", f"v{k:02d}") for k in range(17)],

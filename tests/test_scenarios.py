@@ -20,6 +20,7 @@ from seplift.hoare import (
     conclusion,
     exec_command,
     make_context,
+    seq,
     two_validity_test,
 )
 from seplift.relations import GenRel
@@ -37,7 +38,7 @@ from seplift.syntax import ParseError, parse
 
 def test_parse_command_shapes():
     assert parse_command("skip") == Skip()
-    assert parse_command("init; inc") == SeqCmd(Call("init"), Call("inc"))
+    assert parse_command("init; inc") == SeqCmd((Call("init"), Call("inc")))
     cmd = parse_command("let y=[1] in [1] := -y")
     assert isinstance(cmd, LetRead) and isinstance(cmd.body, Write)
     grouped = parse_command("let y=[1] in { [1] := y; [2] := y }")
@@ -46,6 +47,13 @@ def test_parse_command_shapes():
     assert isinstance(branch, IfCmd)
     with pytest.raises(ParseError):
         parse_command("let y=[1]")
+
+
+def test_sequences_are_associative():
+    flat = SeqCmd((Call("a"), Call("b"), Call("c")))
+    assert parse_command("a; {b; c}") == parse_command("{a; b}; c") == flat
+    assert seq([Call("a")]) == parse_command("{a}") == Call("a")
+    assert seq([Call("a"), SeqCmd((Call("b"), Call("c")))]) == flat
 
 
 def test_annotated_proof_straight_line():
@@ -61,7 +69,7 @@ def test_annotated_proof_consequence_wrapping():
     derivation = good.derivation()
     # the reassertion between init and fin lands as a consequence node
     assert isinstance(derivation, SeqRule)
-    assert isinstance(derivation.second, Consequence)
+    assert isinstance(derivation.steps[-1], Consequence)
 
 
 def test_annotated_proof_errors():
@@ -131,7 +139,7 @@ def _consequences(d):
         pre_in, _, post_in = conclusion(d.body)
         return [((d.pre, pre_in), (post_in, d.post)), *_consequences(d.body)]
     if isinstance(d, SeqRule):
-        return _consequences(d.first) + _consequences(d.second)
+        return [pair for step in d.steps for pair in _consequences(step)]
     return []
 
 

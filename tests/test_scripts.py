@@ -16,7 +16,6 @@ SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
 SCRIPT_ARGS = {
     "arity_scaling.py": ["--max-multiplicity", "1", "--locs", "2", "--gens", "2"],
     "layout_gallery.py": ["--witnesses"],
-    "run_demos.py": [],
 }
 
 
