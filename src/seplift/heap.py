@@ -8,7 +8,11 @@ they agree on shared locations.  Composition induces the extension order
 Internally every heap carries two bitmask fingerprints (one bit per distinct
 (location, value) cell seen so far in the process, one per distinct location),
 which turn compose/merge/extension checks into integer operations.  The bit
-registry is append-only, so fingerprints computed earlier stay valid.
+registry is append-only, so fingerprints computed earlier stay valid.  Beside
+the cell registry runs the bit→cell list `_CELLS`: entry i is the cell whose
+bit is ``1 << i``.  `_bit` appends to it under the registry lock before it
+publishes the bit, so every bit a fingerprint can hold is already in the list,
+and `_from_bits` materializes the heap of a cell fingerprint from it alone.
 
 The fingerprints also build the results of ``compose`` and ``merge``: the
 cells of the result are the union of its operands' cells, so its fingerprints
@@ -17,7 +21,9 @@ are the OR of theirs, and its cell tuple is the sorted concatenation of theirs
 reason heap equality compares fingerprints alone: each registry bit names
 exactly one (location, value) cell, so two heaps have equal cell fingerprints
 iff they have equal cell sets.  The hash stays ``hash(cells)``, which does not
-depend on the order in which the process first met each cell.
+depend on the order in which the process first met each cell.  The relation
+algebra (``relations``) computes on fingerprints alone and materializes heaps
+only when a relation's generators are read.
 """
 
 from __future__ import annotations
@@ -42,15 +48,26 @@ __all__ = [
 
 _registry_lock = threading.Lock()
 _CELL_BITS: dict[tuple[int, int], int] = {}
+_CELLS: list[tuple[int, int]] = []  # _CELLS[i] is the cell whose bit is 1 << i
 _LOC_BITS: dict[int, int] = {}
 
 
-def _bit(registry: dict, key) -> int:
-    """The bit of `key` in an append-only registry, assigned on first sight."""
+def _bit(registry: dict, key, keys: list | None = None) -> int:
+    """The bit of `key` in an append-only registry, assigned on first sight.
+
+    `keys`, when given, is the registry's bit→key list; the key is appended
+    to it before the bit is published, so a reader that finds the bit in the
+    registry without the lock also finds its key in the list.
+    """
     bit = registry.get(key)
     if bit is None:
         with _registry_lock:
-            bit = registry.setdefault(key, 1 << len(registry))
+            bit = registry.get(key)
+            if bit is None:
+                bit = 1 << len(registry)
+                if keys is not None:
+                    keys.append(key)
+                registry[key] = bit
     return bit
 
 
@@ -67,7 +84,7 @@ class Heap:
         for loc, val in cells_tuple:
             if loc <= 0:
                 raise ValueError(f"heap locations must be positive, got {loc}")
-            bits |= _bit(_CELL_BITS, (loc, val))
+            bits |= _bit(_CELL_BITS, (loc, val), _CELLS)
             locmask |= _bit(_LOC_BITS, loc)
         _set_slots(self, cells_tuple, bits, locmask)
 
@@ -129,6 +146,19 @@ def _from_parts(cells_tuple: tuple[tuple[int, int], ...], bits: int, locmask: in
     h = object.__new__(Heap)
     _set_slots(h, cells_tuple, bits, locmask)
     return h
+
+
+def _from_bits(bits: int, locmask: int) -> Heap:
+    """The heap whose cell fingerprint is `bits` and location one `locmask`,
+    its cells read off the bit→cell list."""
+    found = []
+    rest = bits
+    while rest:
+        low = rest & -rest
+        found.append(_CELLS[low.bit_length() - 1])
+        rest ^= low
+    found.sort()
+    return _from_parts(tuple(found), bits, locmask)
 
 
 EMPTY_HEAP = Heap()

@@ -334,10 +334,45 @@ class Consequence(Derivation):
 
 def conclusion(d: Derivation) -> tuple[Assertion, Command, Assertion]:
     """The (pre, command, post) a derivation claims, ignoring side conditions."""
-    below = []  # a comprehension would cost a second frame per nesting level
-    for _, premise in _premises(d):
-        below.append(conclusion(premise))
-    return _conclude(d, below)
+    return _fold(d, lambda node, below, path: _conclude(node, below))
+
+
+# A node's path from the root, as a linked list: (label, parent) or None.
+_Path = tuple[str, "_Path"] | None
+
+
+def _path_text(path: _Path) -> str:
+    labels = []
+    while path is not None:
+        label, path = path
+        labels.append(label)
+    return "".join(reversed(labels))
+
+
+def _fold(d: Derivation, visit: Callable[[Derivation, list, _Path], tuple]) -> tuple:
+    """``visit(node, below, path)`` at every node of ``d``, each node after
+    its premises, depth-first and left to right; ``below`` lists the values
+    of the node's premises in order, and the root's value is returned.
+
+    The walk keeps its own stack, so a derivation may nest deeper than the
+    recursion limit: an annotated run of assertion lines nests one
+    ``Consequence`` per line.  Paths are linked lists, so a deep walk does
+    not build one string per node.
+    """
+    values: list = []
+    stack: list = [(d, ("root", None), None)]
+    while stack:
+        node, path, count = stack.pop()
+        if count is None:
+            premises = _premises(node)
+            stack.append((node, path, len(premises)))
+            for label, premise in reversed(premises):
+                stack.append((premise, (label, path), None))
+        else:
+            below = values[len(values) - count:]
+            del values[len(values) - count:]
+            values.append(visit(node, below, path))
+    return values[0]
 
 
 def _premises(d: Derivation) -> list[tuple[str, Derivation]]:
@@ -398,7 +433,7 @@ class ProofVerdict:
 
 
 class _Reject(Exception):
-    def __init__(self, node: str, reason: str):
+    def __init__(self, node: _Path, reason: str):
         super().__init__(reason)
         self.node = node
         self.reason = reason
@@ -419,17 +454,15 @@ def check_proof(
     node's premises before its own side conditions.
     """
     try:
-        _check(gamma, d, budget, eta, "root")
+        _fold(d, lambda node, below, path: _check(gamma, node, below, budget, eta, path))
     except _Reject as r:
-        return ProofVerdict(False, r.node, r.reason)
+        return ProofVerdict(False, _path_text(r.node), r.reason)
     return ProofVerdict(True)
 
 
-def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
-    """Check ``d`` and every node under it, each once; ``d``'s conclusion."""
-    below = []  # a comprehension would cost a second frame per nesting level
-    for label, premise in _premises(d):
-        below.append(_check(gamma, premise, budget, eta, path + label))
+def _check(gamma, d, below, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
+    """Check node ``d``'s side conditions, given its premises' conclusions
+    ``below``; ``d``'s conclusion."""
     if isinstance(d, CallAxiom):
         if not any(
             t.name == d.name and t.pre == d.pre and t.post == d.post for t in gamma
@@ -459,8 +492,8 @@ def _check(gamma, d, budget, eta, path) -> tuple[Assertion, Command, Assertion]:
             raise _Reject(path, "branch preconditions do not split on the guard")
     elif isinstance(d, Consequence):
         ((pre_in, _, post_in),) = below
-        _check_implication(d.pre, pre_in, budget, eta, path + ".pre")
-        _check_implication(post_in, d.post, budget, eta, path + ".post")
+        _check_implication(d.pre, pre_in, budget, eta, (".pre", path))
+        _check_implication(post_in, d.post, budget, eta, (".post", path))
     elif not isinstance(d, (WriteAxiom, SkipAxiom, FrameRule)):
         raise _Reject(path, f"unknown derivation node {type(d).__name__}")
     return _conclude(d, below)

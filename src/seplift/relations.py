@@ -13,6 +13,37 @@ Generator sets are kept as antichains: a generator extending another is
 redundant and is dropped.  Two relations are equal iff their antichains are
 equal, so structural equality coincides with semantic equality.
 
+The algebra computes on fingerprints, not on heaps.  A generator's
+fingerprint is the tuple of its per-coordinate cell bitmasks followed by its
+per-coordinate location bitmasks, read off ``Heap._bits`` and
+``Heap._locmask``; each bit names one cell or location (see ``heap``), so a
+fingerprint names its generator exactly.  One kernel (`_star`, `_meet`,
+`_union`, `_delta`) works on frozensets of fingerprints:
+
+- compose: the location masks are disjoint in every coordinate, and the
+  masks are ORed;
+- merge: the masks are ORed, and the cell and location popcounts stay equal
+  (each coordinate has at least as many cells as locations, so the totals
+  are equal iff every coordinate's are);
+- extension: a mask subset test in every entry;
+- minimization: by popcount, as `_antichain` argues.
+
+`_star`, `_meet` and `_union` are memoized process-wide on those frozensets,
+whose hashing and equality run in C; `semantics` evaluates assertions on
+them directly.  `_delta` runs once per primitive meaning, behind the memo of
+the public `delta`.  The
+public `star`, `meet`, `union` and `delta` unbox their `GenRel` operands,
+call the kernel and box the result.  A `GenRel` built from heap tuples keeps
+them; one boxed from fingerprints materializes its `generators` only when
+they are read, through the bit→cell list of ``heap``.
+
+No answer depends on the iteration order of a fingerprint set, although
+fingerprint hashes, and so that order, depend on the order in which the
+process first met each cell: every result of the kernel is a set; a
+generator is reported only as the least of some set in `tuple_sort_key`
+order, a total order on heap tuples; and generators are listed through
+`sorted_generators`.
+
 Relation literals (``parse_relation``, ``format_relation``; ``parse_heap``
 reads the ``heap`` rule) follow one grammar.  A keyword with its parenthesis
 is one token, of any case, and so is a cell; a cell without a value stores 0::
@@ -26,9 +57,10 @@ is one token, of any case, and so is a cell; a cell without a value stores 0::
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import and_, attrgetter, or_
 from typing import Iterable
 
-from .heap import EMPTY_HEAP, Heap, _LiteralReader, compose, extends, merge
+from .heap import EMPTY_HEAP, Heap, _from_bits, _LiteralReader, compose, extends
 
 __all__ = [
     "GenRel",
@@ -42,28 +74,21 @@ __all__ = [
     "star",
     "delta",
     "tuple_compose",
-    "tuple_merge",
     "tuple_extends",
     "parse_relation",
     "format_relation",
 ]
 
 HeapTuple = tuple[Heap, ...]
+# Per-coordinate cell masks, then per-coordinate location masks.
+Fingerprint = tuple[int, ...]
+Fingerprints = frozenset[Fingerprint]
+
 
 def tuple_compose(s: HeapTuple, t: HeapTuple) -> HeapTuple | None:
     out = []
     for f, g in zip(s, t):
         h = compose(f, g)
-        if h is None:
-            return None
-        out.append(h)
-    return tuple(out)
-
-
-def tuple_merge(s: HeapTuple, t: HeapTuple) -> HeapTuple | None:
-    out = []
-    for f, g in zip(s, t):
-        h = merge(f, g)
         if h is None:
             return None
         out.append(h)
@@ -78,31 +103,120 @@ def tuple_sort_key(t: HeapTuple) -> tuple:
     return (sum(len(h) for h in t), tuple(h.sort_key() for h in t))
 
 
-def _cell_count(t: HeapTuple) -> int:
-    return sum(map(len, t))
+_BITS, _LOCMASK = attrgetter("_bits"), attrgetter("_locmask")
+
+
+def _fingerprint(t: HeapTuple) -> Fingerprint:
+    return (*map(_BITS, t), *map(_LOCMASK, t))
+
+
+def _heap_tuple(f: Fingerprint) -> HeapTuple:
+    """The generator a fingerprint names, materialized."""
+    n = len(f) >> 1
+    return tuple(map(_from_bits, f[:n], f[n:]))
+
+
+def _weight(f: Fingerprint) -> int:
+    return sum(map(int.bit_count, f))
+
+
+def _antichain(fps: Iterable[Fingerprint]) -> Fingerprints:
+    """The minimal elements of `fps` under componentwise extension.
+
+    The pool is scanned in order of total popcount, and a fingerprint is
+    kept unless it extends one kept before it (every entry of the kept one
+    is a submask of the candidate's).  That is exact: a generator that
+    strictly extends another has strictly more cells and no fewer locations,
+    so every fingerprint a candidate can extend comes earlier in the scan,
+    and fingerprints of equal weight extend each other only when they are
+    equal, which the set rules out.
+    """
+    pool = set(fps)
+    if len(pool) < 2:
+        return frozenset(pool)
+    kept: list[Fingerprint] = []
+    for cand in sorted(pool, key=_weight):
+        for small in kept:
+            if tuple(map(and_, small, cand)) == small:
+                break
+        else:
+            kept.append(cand)
+    return frozenset(kept)
+
+
+def _comparable(f: Fingerprint, g: Fingerprint) -> bool:
+    """Whether one of two fingerprints extends the other."""
+    common = tuple(map(and_, f, g))
+    return common == f or common == g
+
+
+def _member(fps: Fingerprints, f: Fingerprint) -> bool:
+    """Whether `f` extends some fingerprint of the antichain `fps`."""
+    for g in fps:
+        if tuple(map(and_, g, f)) == g:
+            return True
+    return False
+
+
+@lru_cache(maxsize=1 << 16)
+def _union(a: Fingerprints, b: Fingerprints) -> Fingerprints:
+    if not b or a == b:
+        return a
+    if not a:
+        return b
+    return _antichain(a | b)
+
+
+@lru_cache(maxsize=1 << 16)
+def _meet(a: Fingerprints, b: Fingerprints) -> Fingerprints:
+    """Intersection of closures.
+
+    A tuple extends both some g in a and some f in b iff it extends their
+    componentwise merge, so merging generator pairs is exact.
+    """
+    out = set()
+    for f in a:
+        n = len(f) >> 1
+        for g in b:
+            h = tuple(map(or_, f, g))
+            if sum(map(int.bit_count, h[:n])) == sum(map(int.bit_count, h[n:])):
+                out.add(h)
+    return _antichain(out)
+
+
+@lru_cache(maxsize=1 << 16)
+def _star(a: Fingerprints, b: Fingerprints) -> Fingerprints:
+    """Separating conjunction: componentwise disjoint composition.
+
+    Composing with one generator f is an order embedding on the generators
+    disjoint from it (f·g ⊑ f·g' iff g ⊑ g'), so when either side has one
+    generator the result is already an antichain.
+    """
+    out = set()
+    for f in a:
+        n = len(f) >> 1
+        f_locs = f[n:]
+        for g in b:
+            if not any(map(and_, f_locs, g[n:])):
+                out.add(tuple(map(or_, f, g)))
+    return frozenset(out) if len(a) == 1 or len(b) == 1 else _antichain(out)
+
+
+def _delta(n: int, p: Fingerprints) -> Fingerprints:
+    """Diagonal embedding of a unary antichain, itself an antichain."""
+    return frozenset((bits,) * n + (locmask,) * n for bits, locmask in p)
 
 
 def _minimize(tuples: Iterable[HeapTuple]) -> frozenset[HeapTuple]:
-    """The minimal elements of `tuples` under componentwise extension.
-
-    The pool is scanned in order of total cell count, and a tuple is kept
-    unless it extends one kept before it.  That is exact: a tuple that
-    strictly extends another has strictly more cells, so every tuple a
-    candidate can extend comes earlier in the scan, and tuples with equal
-    counts extend each other only when they are equal, which the set rules
-    out.
-    """
-    kept: list[HeapTuple] = []
-    for cand in sorted(set(tuples), key=_cell_count):
-        if not any(tuple_extends(small, cand) for small in kept):
-            kept.append(cand)
-    return frozenset(kept)
+    """The minimal elements of `tuples` under componentwise extension."""
+    by_fp = {_fingerprint(t): t for t in tuples}
+    return frozenset(by_fp[f] for f in _antichain(by_fp))
 
 
 class GenRel:
     """An upward-closed heap relation given by a finite generator antichain."""
 
-    __slots__ = ("_arity", "_generators", "_hash")
+    __slots__ = ("_arity", "_fps", "_generators")
 
     def __init__(self, arity: int, generators: Iterable[HeapTuple] = ()):
         if arity < 1:
@@ -112,9 +226,7 @@ class GenRel:
             if len(g) != arity:
                 raise ValueError(f"generator {g} does not have arity {arity}")
         gens = _minimize(gens)
-        object.__setattr__(self, "_arity", arity)
-        object.__setattr__(self, "_generators", gens)
-        object.__setattr__(self, "_hash", hash((arity, gens)))
+        _set_slots(self, arity, frozenset(map(_fingerprint, gens)), gens)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("GenRel instances are immutable")
@@ -124,25 +236,49 @@ class GenRel:
         return self._arity
 
     @property
+    def fingerprints(self) -> Fingerprints:
+        return self._fps
+
+    @property
     def generators(self) -> frozenset[HeapTuple]:
+        if self._generators is None:
+            object.__setattr__(self, "_generators", frozenset(map(_heap_tuple, self._fps)))
         return self._generators
 
     def sorted_generators(self) -> list[HeapTuple]:
-        return sorted(self._generators, key=tuple_sort_key)
+        return sorted(self.generators, key=tuple_sort_key)
 
     def is_empty(self) -> bool:
-        return not self._generators
+        return not self._fps
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GenRel):
             return NotImplemented
-        return self._arity == other._arity and self._generators == other._generators
+        return self._arity == other._arity and self._fps == other._fps
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self._arity, self._fps))
 
     def __repr__(self) -> str:
         return f"GenRel({self._arity}, {format_relation(self)})"
+
+
+def _set_slots(
+    r: GenRel, arity: int, fps: Fingerprints, gens: frozenset[HeapTuple] | None
+) -> None:
+    object.__setattr__(r, "_arity", arity)
+    object.__setattr__(r, "_fps", fps)
+    object.__setattr__(r, "_generators", gens)
+
+
+@lru_cache(maxsize=1 << 16)
+def _box(arity: int, fps: Fingerprints) -> GenRel:
+    """The relation of an antichain of arity-`arity` fingerprints, such as a
+    kernel result.  Its generators are materialized when first read, and the
+    box is cached, so a meaning evaluated again reads them only once."""
+    r = object.__new__(GenRel)
+    _set_slots(r, arity, fps, None)
+    return r
 
 
 # One shared (immutable) relation per arity: the evaluator folds constants to them.
@@ -166,13 +302,13 @@ def member(r: GenRel, t: HeapTuple) -> bool:
     """Whether t lies in the upward closure of r's generators."""
     if len(t) != r.arity:
         raise ValueError(f"tuple arity {len(t)} does not match relation {r.arity}")
-    return any(tuple_extends(g, t) for g in r.generators)
+    return _member(r._fps, _fingerprint(t))
 
 
 def included(r: GenRel, s: GenRel) -> bool:
     """Exact inclusion of closures: every generator of r is a member of s."""
     _check_arity(r, s)
-    return all(member(s, g) for g in r.generators)
+    return all(_member(s._fps, f) for f in r._fps)
 
 
 def equivalent(r: GenRel, s: GenRel) -> bool:
@@ -182,37 +318,21 @@ def equivalent(r: GenRel, s: GenRel) -> bool:
 @lru_cache(maxsize=1 << 16)
 def union(r: GenRel, s: GenRel) -> GenRel:
     _check_arity(r, s)
-    return GenRel(r.arity, r.generators | s.generators)
+    return _box(r.arity, _union(r._fps, s._fps))
 
 
 @lru_cache(maxsize=1 << 16)
 def meet(r: GenRel, s: GenRel) -> GenRel:
-    """Intersection of closures.
-
-    A tuple extends both some g in r and some f in s iff it extends their
-    componentwise merge, so merging generator pairs is exact.
-    """
+    """Intersection of closures (see `_meet`)."""
     _check_arity(r, s)
-    out = []
-    for g in r.generators:
-        for f in s.generators:
-            m = tuple_merge(g, f)
-            if m is not None:
-                out.append(m)
-    return GenRel(r.arity, out)
+    return _box(r.arity, _meet(r._fps, s._fps))
 
 
 @lru_cache(maxsize=1 << 16)
 def star(r: GenRel, s: GenRel) -> GenRel:
     """Separating conjunction: componentwise disjoint composition."""
     _check_arity(r, s)
-    out = []
-    for g in r.generators:
-        for f in s.generators:
-            c = tuple_compose(g, f)
-            if c is not None:
-                out.append(c)
-    return GenRel(r.arity, out)
+    return _box(r.arity, _star(r._fps, s._fps))
 
 
 @lru_cache(maxsize=1 << 16)
@@ -220,7 +340,7 @@ def delta(n: int, p: GenRel) -> GenRel:
     """Diagonal embedding of a unary predicate as an n-ary relation."""
     if p.arity != 1:
         raise ValueError("delta expects a unary relation")
-    return GenRel(n, [(g[0],) * n for g in p.generators])
+    return _box(n, _delta(n, p._fps))
 
 
 def parse_relation(text: str, arity: int | None = None) -> GenRel:

@@ -13,7 +13,16 @@ are evaluated, quantifiers expanded over the value domain, and every subtree
 without assertion variables folded to its relation, since such a meaning does
 not depend on the environment.  What is left is a function of the variables'
 relations, the spine from the root to the variables, built from direct calls
-to `star`, `meet` and `union`.  ``interpret`` compiles and applies once.
+to the relation kernel's `_star`, `_meet` and `_union`.  The spine computes
+on fingerprint sets, the kernel's representation (see ``relations``), not on
+`GenRel`s: ``interpret`` compiles, applies once and boxes only its result,
+and ``find_counter_env`` evaluates every environment on the fingerprint sets
+its candidate space keeps beside the relations, so heap tuples are
+materialized only for the witness it returns.  No verdict follows the
+iteration order of a fingerprint set, which depends on the order in which the
+process first met each cell: the candidates are visited in a fixed order, a
+witness is the least escapee in `tuple_sort_key` order, and a symmetry is
+kept when it fixes every primitive meaning, whichever is tested first.
 
 ``find_counter_env`` searches the space of assertion-variable environments
 within a budget for a refutation of an implication at a given arity.  The
@@ -60,14 +69,22 @@ from .heap import Heap
 from .layout import compute_layout
 from .normalize import ImplicationForm
 from .relations import (
+    Fingerprints,
     GenRel,
     HeapTuple,
+    _box,
+    _comparable,
+    _fingerprint,
+    _heap_tuple,
+    _meet,
+    _member,
+    _star,
+    _union,
     delta,
     empty,
     included,
     meet,
     member,
-    star,
     top,
     tuple_extends,
     tuple_sort_key,
@@ -232,17 +249,18 @@ def _evaluate(
     bound = rho.items() if rho is not None else []
     index = {name: i for i, (name, _) in enumerate(bound)}
     compiled = _compile(phi, eta, n, dom, index, set())
-    if isinstance(compiled, GenRel):
-        return compiled
-    return compiled([rel for _, rel in bound])
+    if not isinstance(compiled, frozenset):
+        compiled = compiled([rel.fingerprints for _, rel in bound])
+    return _box(n, compiled)
 
 
 _PRIMITIVES = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)
-_CONNECTIVES = {Star: star, And: meet, Or: union}
+_CONNECTIVES = {Star: _star, And: _meet, Or: _union}
 
-# A compiled assertion: its meaning when it has no assertion variables, else
-# a function from the variables' relations, listed by position, to it.
-Compiled = GenRel | Callable[[Sequence[GenRel]], GenRel]
+# A compiled assertion, over fingerprint sets (the `relations` kernel): its
+# meaning when it has no assertion variables, else a function from the
+# variables' meanings, listed by position, to it.
+Compiled = Fingerprints | Callable[[Sequence[Fingerprints]], Fingerprints]
 
 
 def _compile(
@@ -254,7 +272,7 @@ def _compile(
     prims: set[GenRel],
 ) -> Compiled:
     """Compile `phi` at arity n; `index` gives each assertion variable's
-    position in the relation list the result is applied to.
+    position in the list of fingerprint sets the result is applied to.
 
     Walks `phi` once, left to right, so errors are raised in evaluation
     order: UnboundVariable for a normal variable missing from `eta` or an
@@ -262,68 +280,73 @@ def _compile(
     once, and its unary meaning is added to `prims`; quantifiers are expanded
     over `dom.values`; a connective whose operands are both constants is
     folded to a constant.  What is left is the spine from the root to the
-    variables.
+    variables, direct calls of the kernel's `_star`, `_meet` and `_union`.
     """
     if isinstance(phi, _PRIMITIVES):
         meaning = _prim_unary(phi, frozenset(eta.items()), dom)
         prims.add(meaning)
-        return delta(n, meaning)
+        return delta(n, meaning).fingerprints
     if isinstance(phi, AVar):
         if phi.name not in index:
             raise UnboundVariable(f"assertion variable {phi.name!r} is unbound")
         return itemgetter(index[phi.name])
     if isinstance(phi, TrueLit):
-        return top(n)
+        return top(n).fingerprints
     if isinstance(phi, FalseLit):
-        return empty(n)
+        return empty(n).fingerprints
     if isinstance(phi, (Star, And, Or)):
         return _combine(
             _CONNECTIVES[type(phi)],
             _compile(phi.left, eta, n, dom, index, prims),
             _compile(phi.right, eta, n, dom, index, prims),
+            n,
         )
     if isinstance(phi, (Exists, Forall)):
-        op = union if isinstance(phi, Exists) else meet
+        op = _union if isinstance(phi, Exists) else _meet
         parts = [
             _compile(phi.body, {**eta, phi.var: v}, n, dom, index, prims)
             for v in dom.values
         ]
-        constants = [p for p in parts if isinstance(p, GenRel)]
+        constants = [p for p in parts if isinstance(p, frozenset)]
         result = reduce(op, constants) if constants else None
         for part in parts:
-            if not isinstance(part, GenRel):
-                result = part if result is None else _combine(op, result, part)
+            if not isinstance(part, frozenset):
+                result = part if result is None else _combine(op, result, part, n)
         return result
     raise TypeError(f"not an assertion: {phi!r}")
 
 
 def _combine(
-    op: Callable[[GenRel, GenRel], GenRel], left: Compiled, right: Compiled
+    op: Callable[[Fingerprints, Fingerprints], Fingerprints],
+    left: Compiled,
+    right: Compiled,
+    n: int,
 ) -> Compiled:
-    """The compiled `op(left, right)` for op one of star, meet and union.
+    """The compiled `op(left, right)` for op one of `_star`, `_meet` and
+    `_union`, at arity n.
 
     All three are commutative, so a constant operand is moved to the left.
     The empty and the full relation are each the identity or absorbing for
     every op, as relations are upward closed (`star(top(n), r)` is r).
     """
-    if isinstance(right, GenRel):
-        if isinstance(left, GenRel):
+    if isinstance(right, frozenset):
+        if isinstance(left, frozenset):
             return op(left, right)
         left, right = right, left
-    if not isinstance(left, GenRel):
-        if op is union:
+    if not isinstance(left, frozenset):
+        if op is _union:
             return lambda rels: op(left(rels), right(rels))
 
         def absorb(rels):
             # empty is absorbing for star and meet: right need not be applied
             first = left(rels)
-            return first if first.is_empty() else op(first, right(rels))
+            return op(first, right(rels)) if first else first
 
         return absorb
-    if left.is_empty():
-        return right if op is union else left
-    if left == top(left.arity):
-        return left if op is union else right
+    if not left:
+        return right if op is _union else left
+    if left == top(n).fingerprints:
+        return left if op is _union else right
     return lambda rels: op(left, right(rels))
 
 
@@ -436,15 +459,16 @@ class _CandidateSpace:
     """The candidate relations of one (n, budget) and their symmetries.
 
     `tuples` lists the bounded n-tuples of heaps in `tuple_sort_key` order.
-    `combos[k]` lists the generator antichains of size k, in
-    `combinations` order, each as a sorted tuple of indices into `tuples`;
-    `by_size[k]` holds their relations, so by_size is the list
-    `candidate_relations` returns.  `location_perms` lists the permutations
-    of the locations 1..max_loc.  `tables(sigma)` gives one index table per
-    permutation of the n coordinates, for the location permutation `sigma`:
-    table[k][i] is the position in by_size[k] of the renamed by_size[k][i].
-    The identity is left out.  A permutation's tables are built the first
-    time a search keeps it.
+    `fingerprints_by_size[k]` lists the generator antichains of size k over
+    them, in `combinations` order of their indices, as fingerprint sets,
+    which the search evaluates on; `by_size[k]` holds their relations, so
+    by_size is the list `candidate_relations` returns.  `location_perms`
+    lists the permutations of the locations 1..max_loc.  `tables(sigma)`
+    gives one index table per permutation of the n coordinates, for the
+    location permutation `sigma`: table[k][i] is the position in by_size[k]
+    of the renamed by_size[k][i], found by its fingerprint set.  The
+    identity is left out.  A permutation's tables are built the first time
+    a search keeps it.
     """
 
     def __init__(self, n: int, budget: SearchBudget):
@@ -452,21 +476,21 @@ class _CandidateSpace:
         heaps = bounded_heaps(budget.max_loc, budget.values, budget.max_heap_size)
         tuples = sorted(product(heaps, repeat=n), key=tuple_sort_key)
         self.tuples = tuples
-        self.combos: list[list[tuple[int, ...]]] = [[()]] + [
+        fps = [_fingerprint(t) for t in tuples]
+        combos = [[()]] + [
             [
                 combo
                 for combo in combinations(range(len(tuples)), size)
-                if not any(
-                    tuple_extends(tuples[a], tuples[b])
-                    or tuple_extends(tuples[b], tuples[a])
-                    for a, b in combinations(combo, 2)
-                )
+                if not any(_comparable(fps[a], fps[b]) for a, b in combinations(combo, 2))
             ]
             for size in range(1, budget.max_generators + 1)
         ]
-        self.by_size = [
-            [GenRel(n, [tuples[i] for i in combo]) for combo in group]
-            for group in self.combos
+        self.fingerprints_by_size = [
+            [frozenset(fps[i] for i in combo) for combo in group] for group in combos
+        ]
+        self.by_size = [[_box(n, rel) for rel in group] for group in self.fingerprints_by_size]
+        self._positions = [
+            {rel: i for i, rel in enumerate(group)} for group in self.fingerprints_by_size
         ]
         locs = range(1, budget.max_loc + 1)
         self.location_perms = tuple(
@@ -482,8 +506,6 @@ class _CandidateSpace:
 
     def _build_tables(self, sigma: dict[int, int]) -> tuple:
         tuples = self.tuples
-        tuple_pos = {t: i for i, t in enumerate(tuples)}
-        combo_pos = [{c: i for i, c in enumerate(group)} for group in self.combos]
         heaps = {h for t in tuples for h in t}
         renamed = {h: Heap({sigma[loc]: v for loc, v in h.cells}) for h in heaps}
         identity = all(loc == image for loc, image in sigma.items())
@@ -491,12 +513,13 @@ class _CandidateSpace:
         for coords in permutations(range(self.n)):
             if identity and coords == tuple(range(self.n)):
                 continue
-            tuple_map = [
-                tuple_pos[tuple(renamed[t[c]] for c in coords)] for t in tuples
-            ]
+            image = {
+                _fingerprint(t): _fingerprint(tuple(renamed[t[c]] for c in coords))
+                for t in tuples
+            }.__getitem__
             tables.append(tuple(
-                tuple(pos[tuple(sorted(tuple_map[t] for t in c))] for c in group)
-                for group, pos in zip(self.combos, combo_pos)
+                tuple(pos[frozenset(map(image, rel))] for rel in group)
+                for group, pos in zip(self.fingerprints_by_size, self._positions)
             ))
         return tuple(tables)
 
@@ -506,9 +529,9 @@ def _candidate_space(n: int, budget: SearchBudget) -> _CandidateSpace:
     return _CandidateSpace(n, budget)
 
 
-def _fixes(sigma: dict[int, int], meaning: GenRel) -> bool:
-    """Whether renaming locations by `sigma` maps the unary `meaning` to itself."""
-    cells = {g[0].cells for g in meaning.generators}
+def _fixes(sigma: dict[int, int], cells: set[tuple[tuple[int, int], ...]]) -> bool:
+    """Whether renaming locations by `sigma` maps a unary meaning, given by
+    the cell tuples of its generators, to itself."""
     return cells == {
         tuple(sorted((sigma.get(loc, loc), v) for loc, v in c)) for c in cells
     }
@@ -516,10 +539,11 @@ def _fixes(sigma: dict[int, int], meaning: GenRel) -> bool:
 
 def _symmetry_tables(space: _CandidateSpace, meanings: Iterable[GenRel]) -> list:
     """The index tables of the symmetries that fix every unary `meanings`."""
+    cell_sets = [{g[0].cells for g in m.generators} for m in meanings]
     return [
         table
         for sigma in space.location_perms
-        if all(_fixes(sigma, m) for m in meanings)
+        if all(_fixes(sigma, cells) for cells in cell_sets)
         for table in space.tables(sigma)
     ]
 
@@ -614,14 +638,15 @@ def find_counter_env(
     prims: set[GenRel] = set()
     lhs_of = _as_function(_compile(lhs, eta, n, dom, index, prims))
     rhs_of = _as_function(_compile(rhs, eta, n, dom, index, prims))
-    if lhs_of([top(n)] * len(variables)).is_empty():
+    full, none = top(n).fingerprints, empty(n).fingerprints
+    if not lhs_of([full] * len(variables)):
         return None
     space = _candidate_space(n, budget)
     tables = _symmetry_tables(space, prims)
     # Antichain sizes are downward closed, so the nonempty groups come first.
-    by_size = [group for group in space.by_size if group]
+    by_size = [group for group in space.fingerprints_by_size if group]
     lows = [
-        int(lhs_of([empty(n) if j == k else top(n) for j in range(len(variables))]).is_empty())
+        int(not lhs_of([none if j == k else full for j in range(len(variables))]))
         for k in range(len(variables))
     ]
     highs = [_left_bound(lhs, name, len(budget.values)) for name in variables]
@@ -630,24 +655,26 @@ def find_counter_env(
         for indices in _orbit_least(sizes, [len(p) for p in pools], tables):
             rels = [pool[i] for pool, i in zip(pools, indices)]
             lhs_rel = lhs_of(rels)
-            if lhs_rel.is_empty():
+            if not lhs_rel:
                 continue
             witness = _first_escapee(lhs_rel, rhs_of(rels))
             if witness is not None:
-                rho = AssertEnv(n, dict(zip(variables, rels)))
+                chosen = [space.by_size[s][i] for s, i in zip(sizes, indices)]
+                rho = AssertEnv(n, dict(zip(variables, chosen)))
                 return CounterexampleEnv(rho, witness)
     return None
 
 
-def _as_function(compiled: Compiled) -> Callable[[Sequence[GenRel]], GenRel]:
-    if isinstance(compiled, GenRel):
+def _as_function(compiled: Compiled) -> Callable[[Sequence[Fingerprints]], Fingerprints]:
+    if isinstance(compiled, frozenset):
         return lambda rels: compiled
     return compiled
 
 
-def _first_escapee(lhs_rel: GenRel, rhs_rel: GenRel) -> HeapTuple | None:
-    """The least generator of lhs_rel, in `tuple_sort_key` order, outside rhs_rel."""
-    escapees = [gen for gen in lhs_rel.generators if not member(rhs_rel, gen)]
+def _first_escapee(lhs: Fingerprints, rhs: Fingerprints) -> HeapTuple | None:
+    """The least generator of `lhs`, in `tuple_sort_key` order, outside the
+    closure of `rhs`; only the generators outside it are materialized."""
+    escapees = [_heap_tuple(f) for f in lhs if not _member(rhs, f)]
     return min(escapees, key=tuple_sort_key) if escapees else None
 
 
@@ -730,7 +757,7 @@ def pc_check(
         ]))
     families = reduce(meet, uncovered)
     free = reduce(union, [disj_rels[j] for j in layout.empty_disjuncts], empty(1))
-    least = _first_escapee(families, free)
+    least = _first_escapee(families.fingerprints, free.fingerprints)
     if least is None:
         return PCVerdict(True, None, len(families.generators))
     parts = [

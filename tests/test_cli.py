@@ -410,6 +410,35 @@ def test_long_client_runs_at_the_default_recursion_limit(capsys, tmp_path, comma
     assert out.startswith(("Accepted", "NoViolation"))
 
 
+def _assertion_run(tmp_path, lines: int) -> pathlib.Path:
+    """A scenario whose proof is one write followed by `lines` alternating
+    {1|->_} and {1|->0} lines: one Consequence per line, nested."""
+    run_lines = ["{1|->_}" if k % 2 == 0 else "{1|->0}" for k in range(lines)]
+    proof = ["{1|->_}", "[1] := 0", "{1|->0}", *run_lines]
+    source = tmp_path / "run.scn"
+    source.write_text(
+        f"client: [1] := 0\npre: 1|->_\npost: {run_lines[-1][1:-1]}\nproof:\n"
+        + "".join(f"  {line}\n" for line in proof)
+    )
+    return source
+
+
+@pytest.mark.parametrize("command", ["prove", "validity"])
+def test_long_assertion_run_at_the_default_recursion_limit(capsys, tmp_path, command):
+    # the checker walks the nested consequences with its own stack
+    code, out = run(capsys, command, str(_assertion_run(tmp_path, 5000)))
+    assert code == 0, capsys.readouterr().err
+    assert out.startswith(("Accepted", "NoViolation"))
+
+
+def test_long_assertion_run_is_rejected_at_its_first_failing_hop(capsys, tmp_path):
+    # at values 0,1, {1|->_} |= {1|->0} fails; the first such hop is the
+    # second consequence from the write, under the 4,998 outer ones
+    code, out = run(capsys, "--vals", "0,1", "prove", str(_assertion_run(tmp_path, 5000)))
+    assert code == 1
+    assert out.startswith("Rejected at root" + ".body" * 4998 + ".post: bounded unary search refuted")
+
+
 @pytest.mark.parametrize("client", ["init; {inc; nxt; dec; fin}", "{init; inc}; nxt; dec; fin"])
 def test_braced_client_proves_like_the_flat_one(capsys, tmp_path, client):
     # ; is associative, so the braces do not change the program

@@ -1,10 +1,14 @@
-"""Verdicts do not depend on the string hash seed.
+"""Verdicts do not depend on the string hash seed or the bit registry order.
 
 The search and the proof checker iterate over sets and dicts of heaps,
 relations and names; an answer must not follow their iteration order.  The
 benchmark records its references under PYTHONHASHSEED=0, so this runs the
 same verdicts in one process under seed 0 and one under seed 1 and compares
-the texts.  Run directly, the module prints those texts.
+the texts.  Relations compute on fingerprints, whose bits follow the order in
+which the process first met each cell, so the hashes of fingerprint sets,
+and their iteration order, follow it too; a second test registers cells in
+reverse order before the verdicts.  Run directly, the module prints the
+texts, after that registration when given --reverse-registry.
 """
 
 import os
@@ -13,7 +17,7 @@ import sys
 from pathlib import Path
 
 from seplift.catalog import CURATED_SUITE
-from seplift.heap import format_heap
+from seplift.heap import Heap, format_heap
 from seplift.hoare import check_proof, two_validity_test
 from seplift.normalize import implication_assertions
 from seplift.relations import format_relation
@@ -69,10 +73,10 @@ def verdict_texts() -> list[str]:
     return lines
 
 
-def _run_under(seed: str) -> subprocess.Popen:
+def _run_under(seed: str, *args: str) -> subprocess.Popen:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.Popen(
-        [sys.executable, __file__],
+        [sys.executable, __file__, *args],
         env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
         stdout=subprocess.PIPE,
         text=True,
@@ -88,5 +92,17 @@ def test_verdicts_are_the_same_under_two_hash_seeds():
     assert outputs[0] == outputs[1]
 
 
+def test_verdicts_do_not_depend_on_the_order_cells_are_registered():
+    procs = [_run_under("0"), _run_under("0", "--reverse-registry")]
+    outputs = [proc.communicate(timeout=120)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 if __name__ == "__main__":
+    if "--reverse-registry" in sys.argv:
+        # give the cells the verdicts meet first the highest bits
+        for loc in range(6, 0, -1):
+            for val in range(2, -3, -1):
+                Heap({loc: val})
     print("\n".join(verdict_texts()))

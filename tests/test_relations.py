@@ -12,9 +12,10 @@ from conftest import (
     naive_extends,
     universe_heaps,
 )
-from seplift.heap import EMPTY_HEAP, Heap, cells, heap
+from seplift.heap import EMPTY_HEAP, Heap, cells, compose, heap, merge
 from seplift.relations import (
     GenRel,
+    _box,
     _minimize,
     delta,
     empty,
@@ -216,6 +217,67 @@ def naive_minimize(tuples):
 @example([(cells(1), cells(2)), (cells(1), EMPTY_HEAP), (EMPTY_HEAP, cells(2))])
 def test_minimize_matches_a_naive_minimal_elements_filter(tuples):
     assert _minimize(tuples) == naive_minimize(tuples)
+
+
+def _pairwise(op, r, s):
+    """Heap-level: `op` on each coordinate of every generator pair, where
+    defined in every coordinate, then the minimal elements."""
+    out = []
+    for g in r.generators:
+        for f in s.generators:
+            parts = tuple(map(op, g, f))
+            if all(h is not None for h in parts):
+                out.append(parts)
+    return naive_minimize(out)
+
+
+def _naive_member(tuples, t):
+    return any(all(map(naive_extends, g, t)) for g in tuples)
+
+
+def _same_relation_text(boxed, n, tuples):
+    """`boxed`, built from fingerprints, reads like the relation of `tuples`."""
+    built = GenRel(n, tuples)
+    assert boxed == built
+    assert boxed.generators == built.generators == tuples
+    assert [[h.cells for h in g] for g in boxed.sorted_generators()] == [
+        [h.cells for h in g] for g in built.sorted_generators()
+    ]
+    assert format_relation(boxed) == format_relation(built)
+
+
+_same_arity_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), gen_rels(n), gen_rels(n), heap_tuples(n))
+)
+
+
+@settings(max_examples=60)
+@given(_same_arity_pairs, gen_rels(1))
+# pairwise results that are not antichains: [1]·[2] below [2]·[1,3] for star,
+# [1]∨[1,2] below [3]∨[1,2] for meet
+@example(
+    (1, GenRel(1, [(cells(1),), (cells(2),)]), GenRel(1, [(cells(2),), (cells(1, 3),)]), (cells(1),)),
+    GenRel(1, [(cells(1),), (cells(2),)]),
+)
+@example(
+    (2, GenRel(2, [(cells(1), EMPTY_HEAP), (cells(3), EMPTY_HEAP)]),
+     GenRel(2, [(cells(1, 2), cells(1))]), (cells(1, 2), cells(1, 2))),
+    GenRel(1, [(heap((1, 1)),)]),
+)
+def test_fingerprint_kernel_matches_heap_level_definitions(case, unary):
+    n, r, s, t = case
+    expected = {
+        star: _pairwise(compose, r, s),
+        meet: _pairwise(merge, r, s),
+        union: naive_minimize(r.generators | s.generators),
+    }
+    for op, tuples in expected.items():
+        _same_relation_text(op(r, s), n, tuples)
+    _same_relation_text(delta(n, unary), n, naive_minimize((g[0],) * n for g in unary.generators))
+    assert member(r, t) == _naive_member(r.generators, t)
+    assert included(r, s) == all(_naive_member(s.generators, g) for g in r.generators)
+    # a box that has not materialized its generators yet
+    _same_relation_text(_box.__wrapped__(n, r.fingerprints), n, r.generators)
 
 
 def test_relation_literals():
