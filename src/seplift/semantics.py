@@ -391,7 +391,7 @@ def candidate_relations(n: int, budget: SearchBudget) -> list[list[GenRel]]:
     are listed: a generator set with a redundant tuple denotes the same
     relation as its minimization, so nothing is lost.
     """
-    return [list(group) for group in _candidate_space(n, budget).by_size]
+    return [[_box(n, rel) for rel in group] for group in _candidate_space(n, budget).by_size]
 
 
 def _size_vectors(
@@ -459,16 +459,15 @@ class _CandidateSpace:
     """The candidate relations of one (n, budget) and their symmetries.
 
     `tuples` lists the bounded n-tuples of heaps in `tuple_sort_key` order.
-    `fingerprints_by_size[k]` lists the generator antichains of size k over
-    them, in `combinations` order of their indices, as fingerprint sets,
-    which the search evaluates on; `by_size[k]` holds their relations, so
-    by_size is the list `candidate_relations` returns.  `location_perms`
+    `by_size[k]` lists the generator antichains of size k over them, in
+    `combinations` order of their indices, as fingerprint sets: the search
+    evaluates on them and boxes only the ones it returns.  `location_perms`
     lists the permutations of the locations 1..max_loc.  `tables(sigma)`
     gives one index table per permutation of the n coordinates, for the
     location permutation `sigma`: table[k][i] is the position in by_size[k]
     of the renamed by_size[k][i], found by its fingerprint set.  The
     identity is left out.  A permutation's tables are built the first time
-    a search keeps it.
+    a search keeps it, and an entry the first time the search reads it.
     """
 
     def __init__(self, n: int, budget: SearchBudget):
@@ -485,13 +484,10 @@ class _CandidateSpace:
             ]
             for size in range(1, budget.max_generators + 1)
         ]
-        self.fingerprints_by_size = [
+        self.by_size = [
             [frozenset(fps[i] for i in combo) for combo in group] for group in combos
         ]
-        self.by_size = [[_box(n, rel) for rel in group] for group in self.fingerprints_by_size]
-        self._positions = [
-            {rel: i for i, rel in enumerate(group)} for group in self.fingerprints_by_size
-        ]
+        self._positions = [{rel: i for i, rel in enumerate(group)} for group in self.by_size]
         locs = range(1, budget.max_loc + 1)
         self.location_perms = tuple(
             dict(zip(locs, images)) for images in permutations(locs)
@@ -518,10 +514,24 @@ class _CandidateSpace:
                 for t in tuples
             }.__getitem__
             tables.append(tuple(
-                tuple(pos[frozenset(map(image, rel))] for rel in group)
-                for group, pos in zip(self.fingerprints_by_size, self._positions)
+                _RenamedPositions(group, pos, image)
+                for group, pos in zip(self.by_size, self._positions)
             ))
         return tuple(tables)
+
+
+class _RenamedPositions(dict):
+    """One row of a symmetry table: entry i is the position in `group` of
+    `group[i]` with every generator renamed by `image`, computed on first
+    read.  A search that stops early reads few of them."""
+
+    def __init__(self, group: list[Fingerprints], pos: dict, image: Callable):
+        super().__init__()
+        self.group, self.pos, self.image = group, pos, image
+
+    def __missing__(self, i: int) -> int:
+        self[i] = found = self.pos[frozenset(map(self.image, self.group[i]))]
+        return found
 
 
 @lru_cache(maxsize=8)
@@ -644,7 +654,7 @@ def find_counter_env(
     space = _candidate_space(n, budget)
     tables = _symmetry_tables(space, prims)
     # Antichain sizes are downward closed, so the nonempty groups come first.
-    by_size = [group for group in space.fingerprints_by_size if group]
+    by_size = [group for group in space.by_size if group]
     lows = [
         int(not lhs_of([none if j == k else full for j in range(len(variables))]))
         for k in range(len(variables))
@@ -659,8 +669,7 @@ def find_counter_env(
                 continue
             witness = _first_escapee(lhs_rel, rhs_of(rels))
             if witness is not None:
-                chosen = [space.by_size[s][i] for s, i in zip(sizes, indices)]
-                rho = AssertEnv(n, dict(zip(variables, chosen)))
+                rho = AssertEnv(n, {name: _box(n, rel) for name, rel in zip(variables, rels)})
                 return CounterexampleEnv(rho, witness)
     return None
 
