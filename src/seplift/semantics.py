@@ -566,27 +566,39 @@ def _orbit_least(
 
     `active` holds the tables that fix the prefix built so far; a table that
     maps the next index lower rules out every extension of the prefix, one
-    that maps it higher can no longer make the tuple smaller.
+    that maps it higher can no longer make the tuple smaller.  The walk is
+    depth-first over prefixes, with its own stack.
     """
-
-    def extend(prefix: tuple[int, ...], active: list) -> Iterable[tuple[int, ...]]:
-        depth = len(prefix)
-        if depth == len(sizes):
-            yield prefix
-            return
+    last = len(sizes) - 1
+    if last < 0:
+        yield ()
+        return
+    prefix = [0] * len(sizes)
+    active = [tables] + [[]] * last  # active[d]: the tables fixing prefix[:d]
+    depth, i = 0, 0
+    while True:
+        if i == counts[depth]:
+            if depth == 0:
+                return
+            depth -= 1
+            i = prefix[depth] + 1
+            continue
         size = sizes[depth]
-        for i in range(counts[depth]):
-            fixing = []
-            for table in active:
-                image = table[size][i]
-                if image < i:
-                    break
-                if image == i:
-                    fixing.append(table)
-            else:
-                yield from extend(prefix + (i,), fixing)
-
-    return extend((), tables)
+        fixing = []
+        for table in active[depth]:
+            image = table[size][i]
+            if image < i:
+                break
+            if image == i:
+                fixing.append(table)
+        else:
+            prefix[depth] = i
+            if depth < last:
+                active[depth + 1] = fixing
+                depth, i = depth + 1, 0
+                continue
+            yield tuple(prefix)
+        i += 1
 
 
 def find_counter_env(

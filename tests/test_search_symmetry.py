@@ -34,6 +34,7 @@ from seplift.semantics import (
     _candidate_space,
     _compile,
     _left_bound,
+    _orbit_least,
     _size_vectors,
     _symmetry_tables,
     bounded_heaps,
@@ -293,6 +294,30 @@ def test_size_vectors_within_lows_and_highs_keep_the_order(case):
         key=lambda x: (sum(x), x),
     )
     assert list(_size_vectors(v, k, lows, highs)) == expected
+
+
+_orbit_cases = st.integers(0, 3).flatmap(
+    lambda v: st.tuples(
+        st.lists(st.integers(0, 2), min_size=v, max_size=v).map(tuple),
+        st.lists(st.integers(0, 4), min_size=v, max_size=v),
+        st.lists(
+            st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4), min_size=3, max_size=3),
+            max_size=3,
+        ),
+    )
+)
+
+
+@settings(max_examples=200)
+@given(_orbit_cases)
+def test_orbit_least_keeps_the_tuples_no_table_maps_lower(case):
+    sizes, counts, tables = case
+    expected = [
+        x
+        for x in product(*map(range, counts))
+        if not any(tuple(t[s][i] for s, i in zip(sizes, x)) < x for t in tables)
+    ]
+    assert list(_orbit_least(sizes, counts, tables)) == expected
 
 
 # (assertion, bound of `a` with one quantifier value, bound with two)
