@@ -17,8 +17,8 @@ to the relation kernel's `_star`, `_meet` and `_union`.  The spine computes
 on fingerprint sets, the kernel's representation (see ``relations``), not on
 `GenRel`s: ``interpret`` compiles, applies once and boxes only its result,
 and ``find_counter_env`` evaluates every environment on the fingerprint sets
-its candidate space keeps beside the relations, so heap tuples are
-materialized only for the witness it returns.  No verdict follows the
+its candidate space keeps, so relations are boxed and heap tuples
+materialized only for the refutation it returns.  No verdict follows the
 iteration order of a fingerprint set, which depends on the order in which the
 process first met each cell: the candidates are visited in a fixed order, a
 witness is the least escapee in `tuple_sort_key` order, and a symmetry is
