@@ -221,7 +221,7 @@ class GenRel:
     def __init__(self, arity: int, generators: Iterable[HeapTuple] = ()):
         if arity < 1:
             raise ValueError("arity must be positive")
-        gens = frozenset(generators)
+        gens = tuple(generators)
         for g in gens:
             if len(g) != arity:
                 raise ValueError(f"generator {g} does not have arity {arity}")
