@@ -17,13 +17,13 @@ from .normalize import ImplicationForm
 __all__ = ["Edge", "LayoutGraph", "compute_layout", "to_dot"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     solid: bool
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayoutGraph:
     variables: tuple[str, ...]
     pi: tuple[tuple[int, ...], ...]
@@ -58,22 +58,19 @@ class LayoutGraph:
 
 def compute_layout(form: ImplicationForm) -> LayoutGraph:
     variables = form.variables
-    pi = tuple(c.counts(variables) for c in form.conjuncts)
-    omega = tuple(d.counts(variables) for d in form.disjuncts)
+    pi = tuple([tuple(map(c.avars.count, variables)) for c in form.conjuncts])
+    omega = tuple([tuple(map(d.avars.count, variables)) for d in form.disjuncts])
     edges = []
     for row in pi:
         edge_row = []
         for col in omega:
-            if all(p >= o for p, o in zip(row, col)):
-                labels = tuple(
-                    v for v, p, o in zip(variables, row, col) if p > o
-                )
-                edge_row.append(Edge(True, labels))
-            else:
-                labels = tuple(
-                    v for v, p, o in zip(variables, row, col) if p < o
-                )
-                edge_row.append(Edge(False, labels))
+            rises, drops = [], []
+            for v, p, o in zip(variables, row, col):
+                if p < o:
+                    rises.append(v)
+                elif p > o:
+                    drops.append(v)
+            edge_row.append(Edge(False, tuple(rises)) if rises else Edge(True, tuple(drops)))
         edges.append(tuple(edge_row))
     return LayoutGraph(variables, pi, omega, tuple(edges))
 

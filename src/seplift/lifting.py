@@ -30,12 +30,15 @@ from typing import Iterator, Mapping
 
 from .layout import LayoutGraph, compute_layout
 from .normalize import (
+    MAX_FAMILY,
     Clause,
     ImplicationForm,
+    family_size,
     format_implication,
     implication_assertions,
     reduce_implication,
     to_simple,
+    why_not_simple,
 )
 from .relations import HeapTuple, format_relation, member
 from .semantics import (
@@ -152,7 +155,7 @@ def lonely_criterion(g: LayoutGraph) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiftVerdict:
     result: str  # "lifts" | "no_guarantee"
     criterion: str | None = None
@@ -170,16 +173,21 @@ class LiftVerdict:
         return "NO GUARANTEE"
 
 
+_SHADOW = LiftVerdict("lifts", "shadow")
+_LONELY = LiftVerdict("lifts", "lonely")
+_NO_GUARANTEE = LiftVerdict("no_guarantee")
+
+
 def _layout_verdict(g: LayoutGraph) -> LiftVerdict:
     """Check the criteria in the fixed order shadow, balloon, lonely."""
     if shadow_criterion(g):
-        return LiftVerdict("lifts", "shadow")
+        return _SHADOW
     subset = balloon_criterion(g)
     if subset is not None:
         return LiftVerdict("lifts", "balloon", subset)
     if lonely_criterion(g):
-        return LiftVerdict("lifts", "lonely")
-    return LiftVerdict("no_guarantee")
+        return _LONELY
+    return _NO_GUARANTEE
 
 
 def lift_check(form: ImplicationForm) -> LiftVerdict:
@@ -190,7 +198,7 @@ def lift_check(form: ImplicationForm) -> LiftVerdict:
 # --- CHK ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChkReport:
     ok: bool
     reason: str
@@ -205,14 +213,17 @@ def chk(phi: Assertion, psi: Assertion) -> ChkReport:
 
     Phase one rewrites both sides to simple form; phase two reduces the
     implication to its canonical family and requires every member's layout to
-    satisfy a lifting criterion.
+    satisfy a lifting criterion.  A side past the clause bound, or a family
+    past the member bound, is a rejection whose reason names the bound.
     """
     simple_lhs = to_simple(phi)
     if simple_lhs is None:
-        return ChkReport(False, "left-hand side has no simple form")
+        return ChkReport(False, f"left-hand side {why_not_simple(phi)}")
     simple_rhs = to_simple(psi)
     if simple_rhs is None:
-        return ChkReport(False, "right-hand side has no simple form")
+        return ChkReport(False, f"right-hand side {why_not_simple(psi)}")
+    if family_size(simple_lhs, simple_rhs) > MAX_FAMILY:
+        return ChkReport(False, f"the family exceeds the {MAX_FAMILY:,}-member bound")
     members = []
     all_ok = True
     for form in reduce_implication(simple_lhs, simple_rhs):

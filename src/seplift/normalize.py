@@ -17,11 +17,17 @@ conjunctive normal form, the family is the product of left disjuncts and
 right CNF clauses, and right-hand clauses mentioning variables absent from
 the left are dropped (an empty remainder means the right-hand side is false).
 
-``to_simple`` walks the assertion once.  A subtree without assertion
-variables comes back whole, and the nearest node above it that holds a
-variable takes it apart only as far as the rewrite needs: ``\\/`` splits,
-``false`` has no disjunct, ``true`` is the empty clause, and anything else is
-one base.
+``to_simple`` walks the assertion once, and reads each ``*`` chain (the
+parser's left spine of ``Star`` nodes) in one loop rather than one call per
+``*``.  The factors before the chain's first assertion variable form a
+variable-free subtree, its prefix.  After it, a variable adds its name to
+the clause of every disjunct, a variable-free atom adds itself as a base,
+and only other operands (a parenthesised ``\\/``, a ``/\\``, a quantifier)
+are rewritten on their own and multiplied in.  A subtree without assertion
+variables, such as the prefix, comes back whole, and the nearest node above
+it that holds a variable takes it apart only as far as the rewrite needs:
+``\\/`` splits, ``false`` has no disjunct, ``true`` is the empty clause, and
+anything else (a prefix of two or more factors too) is one base.
 """
 
 from __future__ import annotations
@@ -52,6 +58,8 @@ __all__ = [
     "SimpleAssertion",
     "ImplicationForm",
     "to_simple",
+    "why_not_simple",
+    "family_size",
     "reduce_implication",
     "clause_assertion",
     "simple_assertion",
@@ -60,12 +68,15 @@ __all__ = [
 ]
 
 # Size bounds: past MAX_CLAUSES disjuncts `to_simple` gives up (returns
-# None), and past MAX_FAMILY members `reduce_implication` raises.
+# None), and past MAX_FAMILY members `reduce_implication` raises.  `chk`
+# rejects past either, and names the bound.
 MAX_CLAUSES = 10_000
 MAX_FAMILY = 10_000
 
 
-_VARIABLE_FREE = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom, TrueLit, FalseLit)
+# Variable-free atoms; a `*` chain takes each of the first four as one base.
+_BASE_ATOMS = (PointsTo, PointsToAny, NonEmptyHeap, BoolAtom)
+_VARIABLE_FREE = (*_BASE_ATOMS, TrueLit, FalseLit)
 
 
 def _holds_avar(a: Assertion) -> bool:
@@ -87,7 +98,7 @@ def _holds_avar(a: Assertion) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A variable-free base assertion starred with assertion variables."""
 
@@ -99,21 +110,15 @@ class Clause:
             raise ValueError("clause base must not contain assertion variables")
         object.__setattr__(self, "avars", tuple(sorted(self.avars)))
 
-    def counts(self, variables: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(self.avars.count(v) for v in variables)
 
-    def is_empty(self) -> bool:
-        return not self.avars
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimpleAssertion:
     """Disjunction of conjunctions of clauses."""
 
     disjuncts: tuple[tuple[Clause, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImplicationForm:
     """Canonical implication: conjunction of clauses |= disjunction of clauses.
 
@@ -131,8 +136,8 @@ class ImplicationForm:
         for c in self.conjuncts:
             lhs_vars.update(c.avars)
         for d in self.disjuncts:
-            extra = set(d.avars) - lhs_vars
-            if extra:
+            if not lhs_vars.issuperset(d.avars):
+                extra = set(d.avars) - lhs_vars
                 raise ValueError(
                     f"right-hand side variables {sorted(extra)} missing on the left"
                 )
@@ -163,18 +168,31 @@ _FREE = object()
 
 def to_simple(phi: Assertion) -> SimpleAssertion | None:
     try:
-        dnf = _norm(phi)
-        if dnf is _FREE:
-            dnf = _free_dnf(phi)
+        return _simple(phi)
     except _Blowup:
         return None
+
+
+def why_not_simple(phi: Assertion) -> str:
+    """Why `to_simple(phi)` is None: the clause bound, or no simple form."""
+    try:
+        _simple(phi)
+    except _Blowup:
+        return f"exceeds the {MAX_CLAUSES:,}-clause bound on simple form"
+    return "has no simple form"
+
+
+def _simple(phi: Assertion) -> SimpleAssertion | None:
+    """`to_simple`, raising `_Blowup` past MAX_CLAUSES."""
+    dnf = _norm(phi)
+    if dnf is _FREE:
+        dnf = _free_dnf(phi)
     if dnf is None:
         return None
-    disjuncts = tuple(
-        tuple(Clause(star_all(list(bases)), avars) for bases, avars in conj)
+    return SimpleAssertion(tuple([
+        tuple([Clause(star_all(list(bases)), avars) for bases, avars in conj])
         for conj in dnf
-    )
-    return SimpleAssertion(disjuncts)
+    ]))
 
 
 def _free_dnf(a: Assertion) -> list[list[_Builder]]:
@@ -195,11 +213,13 @@ def _free_dnf(a: Assertion) -> list[list[_Builder]]:
 def _norm(a: Assertion) -> list[list[_Builder]] | object | None:
     """DNF of `a` as disjuncts -> conjuncts -> builder clauses, `_FREE` when
     `a` holds no assertion variable, or None when it has no simple form."""
+    if isinstance(a, Star):
+        return _chain(a)
     if isinstance(a, AVar):
         return [[((), (a.name,))]]
     if isinstance(a, _VARIABLE_FREE):
         return _FREE
-    if isinstance(a, (Or, And, Star)):
+    if isinstance(a, (Or, And)):
         left, right = _norm(a.left), _norm(a.right)
         if left is None or right is None:
             return None
@@ -213,20 +233,7 @@ def _norm(a: Assertion) -> list[list[_Builder]] | object | None:
             _check_size(len(left) + len(right))
             return left + right
         _check_size(len(left) * len(right))
-        if isinstance(a, And):
-            return [lc + rc for lc in left for rc in right]
-        # * distributes over \/ but not over /\: each side must contribute a
-        # single clause per disjunct.
-        out: list[list[_Builder]] = []
-        for lc in left:
-            if len(lc) != 1:
-                return None
-            for rc in right:
-                if len(rc) != 1:
-                    return None
-                (lb, lv), (rb, rv) = lc[0], rc[0]
-                out.append([(lb + rb, lv + rv)])
-        return out
+        return [lc + rc for lc in left for rc in right]
     if isinstance(a, Exists):
         body = _norm(a.body)
         if body is _FREE:
@@ -244,12 +251,88 @@ def _norm(a: Assertion) -> list[list[_Builder]] | object | None:
     raise TypeError(f"not an assertion: {a!r}")
 
 
+def _chain(a: Star) -> list[list[_Builder]] | object | None:
+    """`_norm` of the `*` chain whose left spine of Star nodes starts at `a`.
+
+    The loop keeps one `[bases, avars]` clause per disjunct, since * spreads
+    over \\/ but not over /\\.  The factors before the first one that holds
+    a variable form a variable-free prefix, which stays one base (a prefix
+    of one factor splits as `_free_dnf` splits it).  After it, a variable
+    adds its name to every clause and a base atom adds itself; any other
+    factor is normalized alone and multiplied in.  Factors after the last
+    disjunct is gone are still read, since one may have no simple form.
+    """
+    spine = []
+    while isinstance(a, Star):
+        spine.append(a)
+        a = a.left
+    spine.reverse()  # spine[i].right is the factor after the first i + 1
+    clauses: list[list[list]] | None = None  # None while the prefix is free
+    for i, factor in enumerate([a] + [node.right for node in spine]):
+        if isinstance(factor, AVar):
+            if clauses is None:
+                clauses = _prefix_clauses(a, spine, i)
+            for clause in clauses:
+                clause[1].append(factor.name)
+            continue
+        if isinstance(factor, _BASE_ATOMS):
+            if clauses is not None:
+                for clause in clauses:
+                    clause[0].append(factor)
+            continue
+        if isinstance(factor, TrueLit):
+            continue  # the empty clause, a unit of *
+        dnf = _norm(factor)
+        if dnf is None:
+            return None
+        if dnf is _FREE:
+            if clauses is None:
+                continue
+            dnf = _free_dnf(factor)
+        elif clauses is None:
+            if i == 0:
+                # The first factor holds a variable, so it must give one
+                # clause per disjunct before the second is starred on.
+                if any(len(conj) != 1 for conj in dnf):
+                    return None
+                clauses = [[list(b), list(v)] for ((b, v),) in dnf]
+                continue
+            clauses = _prefix_clauses(a, spine, i)
+        _check_size(len(clauses) * len(dnf))
+        if not clauses:
+            continue
+        if any(len(conj) != 1 for conj in dnf):
+            return None
+        clauses = [[lb + list(rb), lv + list(rv)] for lb, lv in clauses for ((rb, rv),) in dnf]
+    if clauses is None:
+        return _FREE
+    return [[(tuple(bases), tuple(avars))] for bases, avars in clauses]
+
+
+def _prefix_clauses(first: Assertion, spine: list[Star], length: int) -> list[list[list]]:
+    """The clauses of a chain's variable-free prefix of `length` factors."""
+    if length == 0:
+        return [[[], []]]
+    if length == 1:
+        return [[list(bases), []] for ((bases, _),) in _free_dnf(first)]
+    return [[[spine[length - 2]], []]]
+
+
 def _check_size(n: int) -> None:
     if n > MAX_CLAUSES:
         raise _Blowup
 
 
 # --- implication reduction --------------------------------------------------
+
+
+def family_size(lhs: SimpleAssertion, rhs: SimpleAssertion) -> int:
+    """How many (left disjunct, right CNF clause) pairs `reduce_implication`
+    reads, before duplicates go; it raises past MAX_FAMILY."""
+    count = max(len(lhs.disjuncts), 1)
+    for disjunct in rhs.disjuncts:
+        count *= max(len(disjunct), 1)
+    return count
 
 
 def reduce_implication(
@@ -260,14 +343,11 @@ def reduce_implication(
     The family has one member per (left disjunct, right CNF clause) pair; the
     original implication holds at arity 1 or 2 exactly when every member does.
     """
+    if family_size(lhs, rhs) > MAX_FAMILY:
+        raise ValueError("implication reduction exceeds the family size bound")
     if not lhs.disjuncts:
         # A false left-hand side: one vacuous member keeps the family honest.
         lhs = SimpleAssertion(((Clause(FalseLit(), ()),),))
-    clause_count = 1
-    for disjunct in rhs.disjuncts:
-        clause_count *= max(len(disjunct), 1)
-    if clause_count * len(lhs.disjuncts) > MAX_FAMILY:
-        raise ValueError("implication reduction exceeds the family size bound")
 
     if rhs.disjuncts:
         cnf_clauses = [tuple(choice) for choice in product(*rhs.disjuncts)]
@@ -275,18 +355,15 @@ def reduce_implication(
         cnf_clauses = [()]
 
     family: list[ImplicationForm] = []
-    seen = set()
     for conjuncts in lhs.disjuncts:
         lhs_vars = set()
         for c in conjuncts:
             lhs_vars.update(c.avars)
         for clause in cnf_clauses:
-            kept = tuple(d for d in clause if set(d.avars) <= lhs_vars)
-            form = ImplicationForm(conjuncts, kept)
-            if form not in seen:
-                seen.add(form)
-                family.append(form)
-    return family
+            kept = tuple([d for d in clause if lhs_vars.issuperset(d.avars)])
+            family.append(ImplicationForm(conjuncts, kept))
+    # Equal members keep the first; a lone member needs no hashing.
+    return family if len(family) == 1 else list(dict.fromkeys(family))
 
 
 # --- conversions back to assertions ----------------------------------------

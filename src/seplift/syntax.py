@@ -357,6 +357,9 @@ class _Parser:
         self.avars = avars
         self.tokens = _tokenize(text)
         self.index = 0
+        # One node per declared variable, made where it first occurs and
+        # shared by its other occurrences in the text.
+        self.avar_nodes: dict[str, AVar] = {}
 
     def peek(self) -> str:
         return self.tokens[self.index]
@@ -407,11 +410,27 @@ class _Parser:
         return node
 
     def star_level(self) -> Assertion:
-        node = self.atom()
-        while self.tokens[self.index] == "*":
-            self.advance()
-            node = Star(node, self.atom())
-        return node
+        """Factors joined by ``*``, as a left spine of Star nodes.  A declared
+        assertion variable is read here, as its shared node, unless an
+        expression operator follows it (``a - 1 |-> _``): `atom` reads the
+        rest."""
+        tokens, avar_nodes = self.tokens, self.avar_nodes
+        node = None
+        while True:
+            index = self.index
+            tok = tokens[index]
+            factor = avar_nodes.get(tok)
+            if factor is None and tok in self.avars and _is_ident(tok) and tok not in _KEYWORDS:
+                # a keyword reads as the keyword, even when declared
+                factor = avar_nodes[tok] = AVar(tok)
+            if factor is not None and tokens[index + 1] not in _EXPR_FOLLOW:
+                self.index = index + 1
+            else:
+                factor = self.atom()
+            node = factor if node is None else Star(node, factor)
+            if tokens[self.index] != "*":
+                return node
+            self.index += 1
 
     def atom(self) -> Assertion:
         tok = self.tokens[self.index]
@@ -432,15 +451,6 @@ class _Parser:
             self.expect(".")
             body = self.or_level()
             return (Forall if tok == "ALL" else Exists)(name, body)
-        if (
-            tok in self.avars
-            and _is_ident(tok)
-            and self.tokens[self.index + 1] not in _EXPR_FOLLOW
-        ):
-            # The expression path below would read this as VarRef and then
-            # return the same AVar.
-            self.index += 1
-            return AVar(tok)
         if tok == "-" and not self._minus_starts_expr():
             self.advance()
             return NonEmptyHeap()

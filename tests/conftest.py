@@ -41,6 +41,13 @@ settings.load_profile("seplift")
 
 AVARS = frozenset({"a", "b"})
 
+# Sides past the size bounds of the consequence gate: six conjuncts of five
+# disjuncts have 5**6 = 15,625 disjuncts in DNF (past the 10,000-clause
+# bound), and nine disjuncts of three conjuncts make 3**9 = 19,683 family
+# members (past the 10,000-member bound).
+SIX_WIDE = " /\\ ".join(["(a \\/ b \\/ 1|->_ \\/ 2|->_ \\/ -)"] * 6)
+NINE_DEEP = " \\/ ".join(["(a /\\ b /\\ 1|->_)"] * 9)
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 

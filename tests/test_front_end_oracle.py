@@ -451,8 +451,10 @@ def test_generated_assertions_match_naive_front_end(phi):
 
 
 # Inputs on the edges of the shortcuts: an assertion variable read as a
-# normal variable, and variable-free disjunctions, conjunctions and
-# quantifiers under and next to variables.
+# normal variable, variable-free disjunctions, conjunctions and quantifiers
+# under and next to variables, and `*` chains whose variable-free prefix
+# holds a disjunction, `true` or `false`, or whose operands are parenthesised
+# chains, conjunctions or factors with no simple form.
 EDGE_CASES = [
     "a - 1 |-> _",
     "a + 1 = 2 /\\ a",
@@ -463,12 +465,61 @@ EDGE_CASES = [
     "EX x. x |-> _ * a",
     "(ALL x. 1|->x) * a",
     "ALL x. 1|->x * a",
+    "(1|->0 \\/ 2|->0) * - * a",
+    "- * (1|->0 \\/ 2|->0) * a",
+    "a * (1|->0 \\/ 2|->0) * b",
+    "true * - * a",
+    "false * a",
+    "a * (b * c)",
+    "a * (b /\\ c) * -",
+    "- * - * a * b",
+    "EX x. x|->_ * a * b",
+    "(a /\\ b) * false",
+    "false * (a /\\ b)",
+    "false * a * (ALL x. x|->_ * a)",
+    "a * 1|->0 * (2|->0 * 3|->0) * true",
 ]
+EDGE_AVARS = AVARS | {"c"}
 
 
 @pytest.mark.parametrize("text", EDGE_CASES)
 def test_edge_cases_match_naive_front_end(text):
-    assert_same_front_end(text, AVARS)
+    assert_same_front_end(text, EDGE_AVARS)
+    parse(text, EDGE_AVARS)  # well formed, so `to_simple` was compared
+
+
+# `*` chains of 1-12 factors: atoms, variables, quantifiers, and
+# parenthesised disjunctions (some variable-free), conjunctions and chains of
+# up to three atoms or variables.
+_CHAIN_ATOMS = ["1|->0", "2|->_", "-", "true", "false", "1 = 1"]
+_CHAIN_LEAVES = [*_CHAIN_ATOMS, "a", "b", "c"]
+_short_chains = st.lists(st.sampled_from(_CHAIN_LEAVES), min_size=1, max_size=3).map(
+    " * ".join
+)
+_chain_factors = st.one_of(
+    st.sampled_from(_CHAIN_LEAVES),
+    st.sampled_from(_CHAIN_LEAVES),
+    st.lists(st.sampled_from(_CHAIN_ATOMS), min_size=2, max_size=3).map(
+        lambda ds: "(" + " \\/ ".join(ds) + ")"
+    ),
+    st.lists(_short_chains, min_size=2, max_size=3).map(
+        lambda ds: "(" + " \\/ ".join(ds) + ")"
+    ),
+    st.lists(_short_chains, min_size=2, max_size=2).map(
+        lambda cs: "(" + " /\\ ".join(cs) + ")"
+    ),
+    _short_chains.map(lambda c: f"({c})"),
+    st.sampled_from(["(EX x. x|->_ * a)", "(ALL x. x|->_ * b)", "(ALL x. 1|->x)"]),
+)
+star_chains = st.lists(_chain_factors, min_size=1, max_size=12).map(" * ".join)
+
+
+@settings(max_examples=300)
+@given(star_chains)
+@example("(1|->0 \\/ 2|->0) * - * a")
+def test_star_chains_match_naive_to_simple(text):
+    phi = parse(text, EDGE_AVARS)
+    assert to_simple(phi) == naive_to_simple(phi)
 
 
 MALFORMED = [

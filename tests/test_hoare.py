@@ -4,7 +4,15 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import example, given, settings
 
-from conftest import AVARS, COMMAND_ETA, commands, load_scenario, small_heaps
+from conftest import (
+    AVARS,
+    COMMAND_ETA,
+    NINE_DEEP,
+    SIX_WIDE,
+    commands,
+    load_scenario,
+    small_heaps,
+)
 from seplift import hoare
 from seplift.heap import EMPTY_HEAP, Heap, cells, compose, heap
 from seplift.hoare import (
@@ -237,6 +245,19 @@ def test_check_proof_consequence_unary_search_refutes():
     verdict = check_proof((), d, SearchBudget(max_loc=2))
     assert not verdict.accepted
     assert "unary search" in verdict.reason
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, bound",
+    [("a * b", SIX_WIDE, "10,000-clause"), ("a /\\ b", NINE_DEEP, "10,000-member")],
+    ids=["clause-bound", "family-bound"],
+)
+def test_check_proof_rejects_a_hop_past_a_size_bound(lhs, rhs, bound):
+    pre, post = parse(lhs, AVARS), parse(rhs, AVARS)
+    verdict = check_proof((), Consequence(pre, SkipAxiom(post), post))
+    assert not verdict.accepted
+    assert verdict.reason.startswith("chk failed for ")
+    assert f"the {bound} bound" in verdict.reason
 
 
 def test_two_validity_identity_modules():

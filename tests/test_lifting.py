@@ -2,7 +2,9 @@ import random
 import time
 from itertools import islice, product
 
-from conftest import AVARS, SCENARIO_DIR
+import pytest
+
+from conftest import AVARS, NINE_DEEP, SCENARIO_DIR, SIX_WIDE
 from seplift.catalog import CURATED_SUITE, make_form
 from seplift.heap import EMPTY_HEAP, cells
 from seplift.layout import compute_layout
@@ -19,7 +21,15 @@ from seplift.lifting import (
     verify_package,
     witness_search,
 )
-from seplift.normalize import Clause, ImplicationForm, implication_assertions
+from seplift.normalize import (
+    MAX_CLAUSES,
+    MAX_FAMILY,
+    Clause,
+    ImplicationForm,
+    implication_assertions,
+    reduce_implication,
+    to_simple,
+)
 from seplift.relations import GenRel, top
 from seplift.semantics import (
     SearchBudget,
@@ -127,6 +137,35 @@ def test_chk_not_simple():
     tangled = parse("((1|->0 * a) /\\ (2|->0 * b)) * (3|->0 * a)", AVARS)
     report = chk(tangled, parse("true"))
     assert not report.ok and "simple" in report.reason
+
+
+def test_chk_names_the_clause_bound():
+    report = chk(parse("a * b", AVARS), parse(SIX_WIDE, AVARS))
+    assert not report.ok and not report.members
+    assert report.reason == (
+        f"right-hand side exceeds the {MAX_CLAUSES:,}-clause bound on simple form"
+    )
+    report = chk(parse(SIX_WIDE, AVARS), parse("a", AVARS))
+    assert report.reason.startswith("left-hand side exceeds")
+
+
+def test_chk_names_the_family_bound():
+    lhs, rhs = parse("a /\\ b", AVARS), parse(NINE_DEEP, AVARS)
+    with pytest.raises(ValueError, match="family size bound"):
+        reduce_implication(to_simple(lhs), to_simple(rhs))
+    report = chk(lhs, rhs)
+    assert not report.ok and not report.members
+    assert report.reason == f"the family exceeds the {MAX_FAMILY:,}-member bound"
+
+
+def test_chk_reads_a_long_star_chain():
+    # the parser reads the chain in a loop; `to_simple` must not recurse
+    # once per `*` either
+    chain = parse(" * ".join(["a"] * 3000), AVARS)
+    report = chk(chain, parse("a * a", AVARS))
+    assert report.ok
+    ((form, _),) = report.members
+    assert form.conjuncts[0].avars == ("a",) * 3000
 
 
 def test_chk_alpha_renaming_invariance():
