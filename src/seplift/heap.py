@@ -24,6 +24,11 @@ iff they have equal cell sets.  The hash stays ``hash(cells)``, which does not
 depend on the order in which the process first met each cell.  The relation
 algebra (``relations``) computes on fingerprints alone and materializes heaps
 only when a relation's generators are read.
+
+``update``, the heap write of the command semantics, replaces the one cell in
+the sorted cell tuple.  Its cell fingerprint is ``bits & ~old_bit | new_bit``
+and its location fingerprint is unchanged, so only the new cell may need a
+registry entry.
 """
 
 from __future__ import annotations
@@ -102,10 +107,20 @@ class Heap:
         return None
 
     def update(self, loc: int, val: int) -> "Heap":
-        """Heap with `loc` remapped to `val`; `loc` must already be present."""
-        if self.get(loc) is None:
-            raise KeyError(loc)
-        return Heap({**dict(self._cells), loc: val})
+        """Heap with `loc` remapped to `val`; `loc` must already be present.
+
+        The one cell is replaced in the sorted cell tuple and its bit swapped
+        in the cell fingerprint; the location fingerprint stays.
+        """
+        cells_tuple = self._cells
+        for i, (cell_loc, old) in enumerate(cells_tuple):
+            if cell_loc == loc:
+                cell = (cell_loc, val)
+                bits = self._bits & ~_CELL_BITS[cell_loc, old] | _bit(_CELL_BITS, cell, _CELLS)
+                return _from_parts(
+                    cells_tuple[:i] + (cell,) + cells_tuple[i + 1 :], bits, self._locmask
+                )
+        raise KeyError(loc)
 
     def __contains__(self, loc: int) -> bool:
         return bool(self._locmask & _LOC_BITS.get(loc, 0)) and self.get(loc) is not None
@@ -279,14 +294,30 @@ class _LiteralReader:
         loc, _, val = tok.replace("|->", ":").partition(":")
         return int(loc), int(val or 0)
 
-    def heap(self) -> Heap:
+    def heap_masks(self) -> tuple[list[tuple[int, int]], int, int]:
+        """A heap literal read to its sorted cells and its cell and location
+        fingerprints, with the checks and messages of `Heap`."""
         cells = self.sequence("[", self.cell, "]")
         if len(dict(cells)) < len(cells):
             raise ValueError(f"duplicate location in {self.text!r}")
-        return Heap(cells)
+        cells.sort()
+        if cells and cells[0][0] <= 0:
+            raise ValueError(f"heap locations must be positive, got {cells[0][0]}")
+        bits = locmask = 0
+        for cell in cells:
+            bits |= _bit(_CELL_BITS, cell, _CELLS)
+            locmask |= _bit(_LOC_BITS, cell[0])
+        return cells, bits, locmask
 
-    def heap_tuple(self) -> tuple[Heap, ...]:
-        return tuple(self.sequence("(", self.heap, ")", empty_ok=False))
+    def heap(self) -> Heap:
+        cells, bits, locmask = self.heap_masks()
+        return _from_parts(tuple(cells), bits, locmask)
+
+    def tuple_masks(self) -> tuple[int, ...]:
+        """A tuple literal read to its cell masks, then its location masks: a
+        generator's fingerprint in ``relations``, with no `Heap` built."""
+        heaps = self.sequence("(", self.heap_masks, ")", empty_ok=False)
+        return (*(bits for _, bits, _ in heaps), *(locmask for _, _, locmask in heaps))
 
 
 def parse_heap(text: str) -> Heap:

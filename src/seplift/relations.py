@@ -52,6 +52,13 @@ is one token, of any case, and so is a cell; a cell without a value stores 0::
     tuple    := '(' heap (',' heap)* ')'
     heap     := '[' [cell (',' cell)*] ']'
     cell     := loc [('|->' | ':') int]
+
+A relation literal is read straight to fingerprints: the reader puts each
+heap literal's cells into its cell and location masks through the bit
+registry of ``heap``, with the checks and messages of `Heap` (a duplicate or
+non-positive location), and the relation is the `_antichain` of the tuples'
+fingerprints, its generators materialized when first read.  No `Heap` is
+built on the way.
 """
 
 from __future__ import annotations
@@ -271,14 +278,19 @@ def _set_slots(
     object.__setattr__(r, "_generators", gens)
 
 
-@lru_cache(maxsize=1 << 16)
-def _box(arity: int, fps: Fingerprints) -> GenRel:
-    """The relation of an antichain of arity-`arity` fingerprints, such as a
-    kernel result.  Its generators are materialized when first read, and the
-    box is cached, so a meaning evaluated again reads them only once."""
+def _from_fingerprints(arity: int, fps: Fingerprints) -> GenRel:
+    """The relation of an antichain of arity-`arity` fingerprints.  Its
+    generators are materialized when first read."""
     r = object.__new__(GenRel)
     _set_slots(r, arity, fps, None)
     return r
+
+
+@lru_cache(maxsize=1 << 16)
+def _box(arity: int, fps: Fingerprints) -> GenRel:
+    """`_from_fingerprints` of a kernel result, cached, so a meaning evaluated
+    again reads its generators only once."""
+    return _from_fingerprints(arity, fps)
 
 
 # One shared (immutable) relation per arity: the evaluator folds constants to them.
@@ -352,19 +364,21 @@ def parse_relation(text: str, arity: int | None = None) -> GenRel:
         if tokens[2:4] != [")", ""] or not tokens[1].lstrip("-").isdigit():
             raise ValueError(f"malformed relation literal {text!r}")
         n = int(tokens[1])
-        tuples = [(EMPTY_HEAP,) * n] if keyword == "TOP(" else []
+        fps = [(0,) * (2 * n)] if keyword == "TOP(" else []
     else:
-        tuples = reader.sequence("{", reader.heap_tuple, "}")
+        fps = reader.sequence("{", reader.tuple_masks, "}")
         reader.take("the end")
-        if not tuples and arity is None:
+        if not fps and arity is None:
             raise ValueError("empty generator literal needs an explicit arity; use EMPTY(n)")
-        arities = {len(t) for t in tuples} or {arity}
+        arities = {len(f) >> 1 for f in fps} or {arity}
         if len(arities) > 1:
             raise ValueError(f"mixed tuple arities in {text!r}")
         (n,) = arities
     if arity is not None and n != arity:
         raise ValueError(f"{text!r} has arity {n}, expected {arity}")
-    return GenRel(n, tuples)
+    if n < 1:
+        raise ValueError("arity must be positive")
+    return _from_fingerprints(n, _antichain(fps))
 
 
 def format_relation(r: GenRel) -> str:

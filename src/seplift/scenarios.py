@@ -33,6 +33,15 @@ under ``coupling:``, may be given only once.  A parse error below the
 written across lines), and for an operation or a coupling also its section and
 name.  ``env:`` must bind every free normal variable of the scenario.
 
+A scenario repeats its lines by nature: the postcondition of one triple is the
+precondition of the next, the proof restates the context's assertions, and
+the two implementations share operations.  So `parse_scenario` parses each
+distinct assertion text and each distinct command text once per scenario,
+through two tables from text to node that live for that call only and read
+under its one ``avars:``; the triple, ``impl``, ``client``, ``pre``/``post``
+and proof readers share the (immutable) nodes.  Lines are still read in file
+order, so a malformed line fails at its first occurrence.
+
 In commands, ``;`` is associative: braces group the body of a ``let`` or an
 ``if``, and a braced block inside a sequence is spliced into it, so
 ``a; {b; c}`` and ``{a; b}; c`` are the same client.
@@ -188,6 +197,10 @@ ProofLine = tuple[str, object]  # ("assert", Assertion) | ("cmd", Command)
 
 
 def parse_proof_lines(text: str, avars: frozenset[str]) -> list[ProofLine]:
+    return _proof_lines(text, lambda body: parse(body, avars), parse_command)
+
+
+def _proof_lines(text: str, read_assertion, read_command) -> list[ProofLine]:
     out: list[ProofLine] = []
     for line in text.splitlines():
         stripped = line.strip().rstrip(";").strip()
@@ -196,9 +209,9 @@ def parse_proof_lines(text: str, avars: frozenset[str]) -> list[ProofLine]:
         if stripped.startswith("{"):
             if not stripped.endswith("}"):
                 raise ValueError(f"assertion line must be braced: {line!r}")
-            out.append(("assert", parse(stripped[1:-1], avars)))
+            out.append(("assert", read_assertion(stripped[1:-1])))
         else:
-            out.append(("cmd", parse_command(stripped)))
+            out.append(("cmd", read_command(stripped)))
     return out
 
 
@@ -358,16 +371,23 @@ def parse_scenario(text: str) -> Scenario:
         for _, chunk in sections[key]:
             avars, eta = parse_header(key, chunk, avars, eta)
 
-    gamma = make_context([_on_lines([e], _parse_triple, avars) for e in sections["context"]])
-    impl1 = _named_lines(sections, "impl1", parse_command)
-    impl2 = _named_lines(sections, "impl2", parse_command)
+    # one table per call, read under this scenario's avars (module docstring)
+    assertion = _parsed_once(lambda text: parse(text, avars))
+    command = _parsed_once(parse_command)
+    gamma = make_context(
+        [_on_lines([e], _parse_triple, assertion) for e in sections["context"]]
+    )
+    impl1 = _named_lines(sections, "impl1", command)
+    impl2 = _named_lines(sections, "impl2", command)
     coupling = _named_lines(sections, "coupling", parse_relation, 2)
     _check_coupling(coupling, avars)
-    client = _on_lines(sections["client"], parse_command)
-    pre = _on_lines(sections["pre"], parse, avars)
-    post = _on_lines(sections["post"], parse, avars)
+    client = _on_lines(sections["client"], command)
+    pre = _on_lines(sections["pre"], assertion)
+    post = _on_lines(sections["post"], assertion)
     proof = [
-        step for e in sections["proof"] for step in _on_lines([e], parse_proof_lines, avars)
+        step
+        for e in sections["proof"]
+        for step in _on_lines([e], _proof_lines, assertion, command)
     ]
     scenario = Scenario(avars, eta, gamma, impl1, impl2, coupling, client, pre, post, proof)
     _check_bound(scenario)
@@ -397,18 +417,35 @@ def _check_bound(s: Scenario) -> None:
     commands = [s.client, *s.impl1.values(), *s.impl2.values()]
     for kind, item in s.proof:
         (assertions if kind == "assert" else commands).append(item)
+    # a node shared by several lines is walked once
+    assertions = {id(a): a for a in assertions}.values()
+    commands = {id(c): c for c in commands}.values()
     free = set().union(*map(free_vars, assertions), *map(command_vars, commands))
     unbound = sorted(free - s.eta.keys())
     if unbound:
         raise UnboundVariable(f"normal variable {unbound[0]!r} is unbound")
 
 
-def _parse_triple(line: str, avars: frozenset[str]) -> Triple:
+def _parsed_once(parse_fn):
+    """`parse_fn` behind a table from text to node: a repeated text returns
+    the node its first reading made.  A failed reading stores nothing."""
+    table = {}
+
+    def read(text: str):
+        node = table.get(text)
+        if node is None:
+            node = table[text] = parse_fn(text)
+        return node
+
+    return read
+
+
+def _parse_triple(line: str, read_assertion) -> Triple:
     pre_text, closed, rest = line.partition("}")
     name, _, post_text = rest.partition("{")
     if not (pre_text.startswith("{") and closed and name.strip() and post_text.endswith("}")):
         raise ValueError("triple must be written {pre} name {post}")
-    return Triple(parse(pre_text[1:], avars), name.strip(), parse(post_text[:-1], avars))
+    return Triple(read_assertion(pre_text[1:]), name.strip(), read_assertion(post_text[:-1]))
 
 
 def _named_lines(sections: dict, section: str, parse_fn, *args) -> dict:

@@ -569,6 +569,15 @@ def _expr_operand(e: Expr) -> str:
     return text
 
 
+# Each binary connective: its infix text, its own level and its right
+# operand's level.
+_SPINES = {
+    Or: (" \\/ ", _LEVEL_OR, _LEVEL_AND),
+    And: (" /\\ ", _LEVEL_AND, _LEVEL_STAR),
+    Star: (" * ", _LEVEL_STAR, _LEVEL_ATOM),
+}
+
+
 def pretty(a: Assertion) -> str:
     """Render with minimal parentheses; `parse(pretty(a))` returns `a`."""
     return _pretty(a, _LEVEL_OR, tail=True)
@@ -589,24 +598,23 @@ def _pretty(a: Assertion, level: int, tail: bool) -> str:
         return f"{_expr_operand(a.addr)} |-> _"
     if isinstance(a, BoolAtom):
         return f"{pretty_expr(a.left)} {a.op} {pretty_expr(a.right)}"
-    if isinstance(a, Or):
-        text = (
-            f"{_pretty(a.left, _LEVEL_OR, False)} \\/ "
-            f"{_pretty(a.right, _LEVEL_AND, tail)}"
-        )
-        return f"({text})" if level > _LEVEL_OR else text
-    if isinstance(a, And):
-        text = (
-            f"{_pretty(a.left, _LEVEL_AND, False)} /\\ "
-            f"{_pretty(a.right, _LEVEL_STAR, tail)}"
-        )
-        return f"({text})" if level > _LEVEL_AND else text
-    if isinstance(a, Star):
-        text = (
-            f"{_pretty(a.left, _LEVEL_STAR, False)} * "
-            f"{_pretty(a.right, _LEVEL_ATOM, tail)}"
-        )
-        return f"({text})" if level > _LEVEL_STAR else text
+    spine = _SPINES.get(type(a))
+    if spine is not None:
+        # The left spine of one connective prints at its own level, so it is
+        # read with a loop, as the parser builds it, and only the right
+        # operands recurse; the last of them carries `tail`.
+        op, own, right_level = spine
+        rights = []
+        node = a
+        while type(node) is type(a):
+            rights.append(node.right)
+            node = node.left
+        parts = [_pretty(node, own, False)]
+        for right in reversed(rights[1:]):
+            parts.append(_pretty(right, right_level, False))
+        parts.append(_pretty(rights[0], right_level, tail))
+        text = op.join(parts)
+        return f"({text})" if level > own else text
     if isinstance(a, (Forall, Exists)):
         word = "ALL" if isinstance(a, Forall) else "EX"
         text = f"{word} {a.var}. {_pretty(a.body, _LEVEL_OR, True)}"
@@ -689,12 +697,12 @@ def parse_header(
 def _on_lines(entries: list[tuple[int, str]], parse_fn, *args, what: str = ""):
     """``parse_fn`` on the entries' joined text; an error names the first line."""
     text = " ".join(t for _, t in entries)
-    prefix = (f"line {entries[0][0]}: " if entries else "") + what
     try:
         return parse_fn(text, *args)
-    except ParseError as err:
-        raise ParseError(prefix + err.message, err.position, err.text) from None
     except ValueError as err:
+        prefix = (f"line {entries[0][0]}: " if entries else "") + what
+        if isinstance(err, ParseError):
+            raise ParseError(prefix + err.message, err.position, err.text) from None
         raise ValueError(prefix + str(err)) from None
 
 

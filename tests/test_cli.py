@@ -299,13 +299,27 @@ def test_validity_names_the_coupling_of_a_malformed_relation(capsys, tmp_path):
 
 
 def test_over_deep_assertion_exits_two(capsys, tmp_path):
+    # 1,200 nested parentheses: the parser recurses once per level (a long
+    # `*` chain is read and printed with loops, see below)
     source = tmp_path / "deep.imp"
-    source.write_text("avars: a\n" + " * ".join(["a"] * 1200) + " |= a\n")
+    source.write_text("avars: a\n" + "(" * 1200 + "a" + ")" * 1200 + " |= a\n")
     code = main(["lift", str(source)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: assertion nested too deeply\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["parse", "normalize", "reduce", "chk", "lift"])
+def test_long_star_chain_prints_at_the_default_recursion_limit(capsys, tmp_path, command):
+    # `pretty` reads the left spine of `*` with a loop, so every subcommand
+    # that prints a side runs on 3,000 factors
+    chain = " * ".join(["a"] * 3000)
+    source = tmp_path / "chain.imp"
+    source.write_text(f"avars: a\n{chain} |= a * a\n")
+    code, out = run(capsys, command, str(source))
+    assert code == 0, capsys.readouterr().err
+    assert chain in out
 
 
 @pytest.mark.parametrize("member", ["1", "-1"])

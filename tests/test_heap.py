@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import small_heaps
 from seplift.heap import (
@@ -119,6 +120,29 @@ def test_compose_and_merge_match_a_heap_rebuilt_from_cells(f, g):
         assert result._bits == rebuilt._bits
         assert result._locmask == rebuilt._locmask
         assert hash(result) == hash(rebuilt) == hash(rebuilt.cells)
+
+
+# update replaces one cell of the sorted tuple and swaps its bit in the cell
+# fingerprint; the oracle rebuilds the heap from its cells.
+@given(small_heaps, st.integers(0, 4), st.integers(-1, 2))
+@example(heap((1, 0), (2, 0)), 2, 1)
+@example(heap((1, 0), (2, 0), (3, 1)), 2, 5)
+@example(heap((1, 0)), 1, 0)
+@example(EMPTY_HEAP, 1, 0)
+def test_update_matches_a_heap_rebuilt_from_cells(h, loc, val):
+    before = h.cells
+    if loc not in dict(h.cells):
+        with pytest.raises(KeyError):
+            h.update(loc, val)
+        return
+    updated = h.update(loc, val)
+    rebuilt = Heap({**dict(h.cells), loc: val})
+    assert updated.cells == rebuilt.cells
+    assert updated == rebuilt
+    assert hash(updated) == hash(rebuilt) == hash(rebuilt.cells)
+    assert updated._bits == rebuilt._bits
+    assert updated._locmask == rebuilt._locmask == h._locmask
+    assert h.cells == before
 
 
 @given(small_heaps, small_heaps)

@@ -1,4 +1,4 @@
-"""The token reader of heap and relation literals against the scanner it replaced.
+"""The token reader of heap and relation literals against the readers it replaced.
 
 `old_parse_relation` and `old_parse_heap` are the former readers, kept
 verbatim: a character loop and a bracket-depth splitter for relations, a
@@ -6,6 +6,11 @@ per-cell regex for heaps.  Whenever the token reader accepts a string, the
 old reader must return the same relation for it, and both must accept every
 literal the grammar in the `relations` docstring generates.  The token reader
 is stricter: `REJECTED_FORMS` lists what only the old reader accepted.
+
+`heap_path_relation` is the token reader as it was before relation literals
+were read straight to fingerprints: it builds a `Heap` per heap literal and a
+`GenRel` from the heap tuples.  The two must agree on every text, on the
+relation and on the error message alike.
 """
 
 import re
@@ -15,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
-from seplift.heap import EMPTY_HEAP, Heap, parse_heap
+from seplift.heap import EMPTY_HEAP, Heap, _LiteralReader, parse_heap
 from seplift.relations import (
     GenRel,
     HeapTuple,
@@ -125,6 +130,41 @@ def _split_heap_list(chunk: str) -> list[str]:
     if current.strip():
         parts.append(current)
     return [p.strip() for p in parts if p.strip()]
+
+
+# --- the token reader through heaps, before it read fingerprints ----------------
+
+
+def heap_path_relation(text: str, arity: int | None = None) -> GenRel:
+    reader = _LiteralReader(text)
+
+    def heap() -> Heap:
+        cells = reader.sequence("[", reader.cell, "]")
+        if len(dict(cells)) < len(cells):
+            raise ValueError(f"duplicate location in {text!r}")
+        return Heap(cells)
+
+    tokens = reader.tokens
+    keyword = tokens[0].upper()
+    if keyword in ("TOP(", "EMPTY("):
+        if tokens[2:4] != [")", ""] or not tokens[1].lstrip("-").isdigit():
+            raise ValueError(f"malformed relation literal {text!r}")
+        n = int(tokens[1])
+        tuples = [(EMPTY_HEAP,) * n] if keyword == "TOP(" else []
+    else:
+        tuples = reader.sequence(
+            "{", lambda: tuple(reader.sequence("(", heap, ")", empty_ok=False)), "}"
+        )
+        reader.take("the end")
+        if not tuples and arity is None:
+            raise ValueError("empty generator literal needs an explicit arity; use EMPTY(n)")
+        arities = {len(t) for t in tuples} or {arity}
+        if len(arities) > 1:
+            raise ValueError(f"mixed tuple arities in {text!r}")
+        (n,) = arities
+    if arity is not None and n != arity:
+        raise ValueError(f"{text!r} has arity {n}, expected {arity}")
+    return GenRel(n, tuples)
 
 
 # --- literals the grammar generates ---------------------------------------------
@@ -238,6 +278,75 @@ def test_old_reader_agrees_whenever_the_token_reader_accepts(case):
     new = _reading(parse_relation, text, arity)
     if new is not None:
         assert old_parse_relation(text, arity) == new
+
+
+def _readout(r: GenRel) -> tuple:
+    """A relation with everything a caller can read off it."""
+    return r, hash(r), r.generators, r.sorted_generators(), format_relation(r)
+
+
+def _outcome(reader, text: str, arity):
+    """What a reader makes of a text: its error message or its relation's readout."""
+    try:
+        return _readout(reader(text, arity))
+    except ValueError as err:
+        return str(err)
+
+
+# Relation literals with locations from -2 to 3, repeated or not, and tuples
+# of mixed arities: the checks of a `Heap` and of `parse_relation` meet here.
+_ANY_CELLS = st.lists(st.tuples(st.integers(-2, 3), st.integers(-1, 1)), max_size=3)
+_ANY_LITERALS = st.lists(st.lists(_ANY_CELLS, min_size=1, max_size=3), max_size=3).map(
+    lambda tuples: "{ " + ", ".join(
+        "(" + ",".join("[" + ", ".join(f"{l}|->{v}" for l, v in cells) + "]" for cells in t) + ")"
+        for t in tuples
+    ) + " }"
+)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_a_literal_read_to_fingerprints_reads_like_genrel_from_heaps(data):
+    tokens, arity, relation = data.draw(grammar_literals())
+    assert _readout(parse_relation(_spaced(data.draw, tokens), arity)) == _readout(relation)
+
+
+@settings(max_examples=600)
+@given(
+    st.one_of(
+        st.tuples(_ANY_LITERALS, st.sampled_from([None, 1, 2, 3])),
+        st.tuples(_TOKEN_SOUP, st.sampled_from([None, 0, 1, 2])),
+        _edited_literals(),
+    )
+)
+@example(("{ ([1:0, 1:1],[]) }", None))
+@example(("{ ([0:1],[]) }", 2))
+@example(("{ ([2, -1, 0]) }", None))
+@example(("{ ([1],[]), ([1]) }", None))
+@example(("{ ([1],[]), ([0:1]) }", None))
+@example(("{ ([1],[1],[1]) }", 2))
+@example(("TOP(0)", None))
+@example(("TOP(-1)", 2))
+@example(("EMPTY(0)", 0))
+@example(("{ }", 0))
+def test_fingerprint_reader_agrees_with_the_heap_path_on_every_text(case):
+    text, arity = case
+    assert _outcome(parse_relation, text, arity) == _outcome(heap_path_relation, text, arity)
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("{ ([1:0, 1:1],[]) }", "duplicate location in '{ ([1:0, 1:1],[]) }'"),
+        ("{ ([1],[]), ([0:1],[]) }", "heap locations must be positive, got 0"),
+        ("{ ([2, -1, -2],[]) }", "heap locations must be positive, got -2"),
+        ("{ ([1],[]), ([1]) }", "mixed tuple arities in '{ ([1],[]), ([1]) }'"),
+    ],
+)
+def test_literal_errors_keep_their_messages(literal, message):
+    with pytest.raises(ValueError) as err:
+        parse_relation(literal)
+    assert str(err.value) == message
 
 
 _ROUND_TRIP_HEAPS = st.dictionaries(st.integers(1, 4), st.integers(-2, 2), max_size=2).map(Heap)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import hypothesis.strategies as st
@@ -23,9 +24,10 @@ from seplift.hoare import (
     seq,
     two_validity_test,
 )
-from seplift.relations import GenRel
+from seplift.relations import GenRel, parse_relation
 from seplift.scenarios import (
     DEMO_NAMES,
+    Scenario,
     build_annotated_proof,
     demo,
     parse_command,
@@ -33,7 +35,7 @@ from seplift.scenarios import (
     parse_scenario,
 )
 from seplift.semantics import SearchBudget
-from seplift.syntax import ParseError, parse
+from seplift.syntax import ParseError, parse, parse_header
 
 
 def test_parse_command_shapes():
@@ -356,3 +358,91 @@ def test_scenario_runs_match_the_direct_calls(path):
     assert s.validity(budget) == two_validity_test(
         s.gamma, s.modules(), s.rho(), s.eta, s.pre, s.client, s.post, budget
     )
+
+
+# --- each distinct line is parsed once per scenario --------------------------------
+
+
+def naive_scenario(text: str) -> Scenario:
+    """A well-formed scenario read with every line parsed afresh through the
+    public parsers, with no table shared between lines."""
+    sections: dict[str, list[str]] = {}
+    current = None
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        if not line[0].isspace():
+            current, _, line = line.partition(":")
+        if line.strip():
+            sections.setdefault(current, []).append(line.strip())
+    avars, eta = frozenset(), {}
+    for key in ("avars", "env"):
+        for chunk in sections.get(key, []):
+            avars, eta = parse_header(key, chunk, avars, eta)
+
+    def triple(line: str) -> Triple:
+        pre, _, rest = line[1:].partition("}")
+        name, _, post = rest.partition("{")
+        return Triple(parse(pre, avars), name.strip(), parse(post[:-1], avars))
+
+    def named(section: str, parse_fn) -> dict:
+        pairs = (line.partition(":") for line in sections.get(section, []))
+        return {name.strip(): parse_fn(body.strip()) for name, _, body in pairs}
+
+    return Scenario(
+        avars,
+        eta,
+        make_context([triple(line) for line in sections.get("context", [])]),
+        named("impl1", parse_command),
+        named("impl2", parse_command),
+        named("coupling", lambda body: parse_relation(body, 2)),
+        parse_command(" ".join(sections["client"])),
+        parse(" ".join(sections["pre"]), avars),
+        parse(" ".join(sections["post"]), avars),
+        [step for line in sections["proof"] for step in parse_proof_lines(line, avars)],
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.name)
+def test_parse_scenario_matches_a_naive_reading_field_by_field(path):
+    text = path.read_text()
+    parsed, naive = parse_scenario(text), naive_scenario(text)
+    for field in dataclasses.fields(Scenario):
+        assert getattr(parsed, field.name) == getattr(naive, field.name), field.name
+
+
+def test_a_repeated_line_shares_its_first_reading():
+    s = parse_scenario((SCENARIO_DIR / "counter.scn").read_text())
+    assert s.impl1["inc"] is s.impl2["inc"]
+    context = {t.name: t for t in s.gamma}
+    assert context["init"].post is context["inc"].pre is s.proof[2][1]
+    assert s.pre is context["init"].pre
+
+
+def test_a_line_reads_under_its_own_scenarios_avars():
+    # The same text is an assertion variable under one header and an error
+    # under another: nothing read for the first scenario serves the second.
+    text = "avars: a\nclient: skip\npre: a\npost: a\n"
+    assert parse_scenario(text).pre == parse("a", frozenset({"a"}))
+    with pytest.raises(ParseError, match="^line 3: bare identifier 'a' is not a declared"):
+        parse_scenario(text.replace("avars: a", "avars: b"))
+    assert parse_scenario(text.replace("avars: a", "avars: a, b")).pre == parse("a", {"a"})
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("inc: let y=[1] in [1] := y+1", "inc: let y=[1] in",
+         "impl1 'inc': expected a command at offset 12: 'let y=[1] in'"),
+        ("{a}", "{a *}", "expected an assertion at offset 3: 'a *'"),
+    ],
+    ids=["impl", "assertion"],
+)
+def test_a_malformed_line_given_twice_fails_at_its_first_line(old, new, message):
+    text = (SCENARIO_DIR / "counter.scn").read_text()
+    assert text.count(old) >= 2
+    first = text[: text.index(old)].count("\n") + 1
+    with pytest.raises(ValueError) as err:
+        parse_scenario(text.replace(old, new))
+    assert str(err.value) == f"line {first}: {message}"

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import AVARS, assertions
 from seplift.relations import top
@@ -9,6 +9,7 @@ from seplift.syntax import (
     AVar,
     BoolAtom,
     Exists,
+    Forall,
     IntLit,
     NonEmptyHeap,
     Or,
@@ -29,6 +30,7 @@ from seplift.syntax import (
     parse_expr,
     parse_header,
     pretty,
+    _pretty,
 )
 
 
@@ -126,6 +128,34 @@ def test_free_vars_respect_binders():
 @given(assertions)
 def test_parse_pretty_round_trip(node):
     assert parse(pretty(node), AVARS) == node
+
+
+def recursive_pretty(a, level=0, tail=True) -> str:
+    """The printer before it read left spines with a loop: one recursive call
+    per binary node, at levels 0 (or) to 3 (atom).  Atoms print as before."""
+    if isinstance(a, Or):
+        text = f"{recursive_pretty(a.left, 0, False)} \\/ {recursive_pretty(a.right, 1, tail)}"
+        return f"({text})" if level > 0 else text
+    if isinstance(a, And):
+        text = f"{recursive_pretty(a.left, 1, False)} /\\ {recursive_pretty(a.right, 2, tail)}"
+        return f"({text})" if level > 1 else text
+    if isinstance(a, Star):
+        text = f"{recursive_pretty(a.left, 2, False)} * {recursive_pretty(a.right, 3, tail)}"
+        return f"({text})" if level > 2 else text
+    if isinstance(a, (Forall, Exists)):
+        word = "ALL" if isinstance(a, Forall) else "EX"
+        text = f"{word} {a.var}. {recursive_pretty(a.body, 0, True)}"
+        return text if tail else f"({text})"
+    return _pretty(a, level, tail)
+
+
+@settings(max_examples=300)
+@given(assertions)
+@example(Star(Star(AVar("a"), Exists("x", AVar("b"))), AVar("a")))
+@example(Or(Or(Forall("x", AVar("a")), Exists("y", AVar("b"))), And(AVar("a"), Star(AVar("b"), AVar("a")))))
+@example(And(And(Star(Or(AVar("a"), AVar("b")), AVar("a")), AVar("b")), Exists("x", AVar("a"))))
+def test_pretty_prints_like_the_recursive_printer(node):
+    assert pretty(node) == recursive_pretty(node)
 
 
 def test_pretty_minimal_parens():
