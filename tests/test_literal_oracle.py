@@ -212,6 +212,11 @@ def grammar_literals(draw):
     return tokens + ["}"], arity, relation
 
 
+def _readout(r: GenRel) -> tuple:
+    """A relation with everything a caller can read off it."""
+    return r, hash(r), r.generators, r.sorted_generators(), format_relation(r)
+
+
 def _spaced(draw, tokens: list[str]) -> str:
     return "".join(draw(_SPACE) + tok for tok in tokens) + draw(_SPACE)
 
@@ -228,7 +233,8 @@ def _reading(reader, text: str, arity):
 def test_both_readers_accept_every_grammar_literal(data):
     tokens, arity, relation = data.draw(grammar_literals())
     text = _spaced(data.draw, tokens)
-    assert parse_relation(text, arity) == relation
+    # read to fingerprints, it reads off like `GenRel(n, tuples)` of heaps
+    assert _readout(parse_relation(text, arity)) == _readout(relation)
     assert old_parse_relation(text, arity) == relation
 
 
@@ -280,11 +286,6 @@ def test_old_reader_agrees_whenever_the_token_reader_accepts(case):
         assert old_parse_relation(text, arity) == new
 
 
-def _readout(r: GenRel) -> tuple:
-    """A relation with everything a caller can read off it."""
-    return r, hash(r), r.generators, r.sorted_generators(), format_relation(r)
-
-
 def _outcome(reader, text: str, arity):
     """What a reader makes of a text: its error message or its relation's readout."""
     try:
@@ -302,13 +303,6 @@ _ANY_LITERALS = st.lists(st.lists(_ANY_CELLS, min_size=1, max_size=3), max_size=
         for t in tuples
     ) + " }"
 )
-
-
-@settings(max_examples=300)
-@given(st.data())
-def test_a_literal_read_to_fingerprints_reads_like_genrel_from_heaps(data):
-    tokens, arity, relation = data.draw(grammar_literals())
-    assert _readout(parse_relation(_spaced(data.draw, tokens), arity)) == _readout(relation)
 
 
 @settings(max_examples=600)
